@@ -46,20 +46,26 @@ class OperatorMatrix:
         object.__setattr__(self, "matrix", m)
 
 
+def _perm_matrix(perm: np.ndarray) -> np.ndarray:
+    """The permutation matrix sending basis vector i to basis vector perm[i]."""
+    mat = np.zeros((len(perm), len(perm)))
+    mat[perm, np.arange(len(perm))] = 1.0
+    return mat.astype(complex)
+
+
 def left_regular(group: GroupTable, x: int) -> np.ndarray:
     """lambda(x): permutation matrix sending delta_b to delta_{x b}."""
-    n = group.order
-    mat = np.zeros((n, n))
-    mat[group.table[x], np.arange(n)] = 1.0
-    return mat.astype(complex)
+    return _perm_matrix(group.table[x])
 
 
 def right_regular(group: GroupTable, x: int) -> np.ndarray:
     """rho(x): permutation matrix sending delta_b to delta_{b x^-1}."""
-    n = group.order
-    mat = np.zeros((n, n))
-    mat[group.table[:, group.inv(x)], np.arange(n)] = 1.0
-    return mat.astype(complex)
+    return _perm_matrix(group.table[:, group.inv(x)])
+
+
+def transpose_index(n: int) -> np.ndarray:
+    """Flat permutation s with vec(X^T) = vec(X)[s] for n x n matrices X."""
+    return np.arange(n * n).reshape(n, n).T.reshape(-1)
 
 
 def mult_op(f: GroupFunction) -> np.ndarray:
@@ -88,6 +94,9 @@ class Superoperator:
     schur:    T -> mask * T (entrywise)
     conj_sum: T -> sum_i weights[i] rho(elements[i]) T rho(elements[i])^-1
     dense:    vec(out) = matrix @ vec(T), row-major vec
+
+    Conjugation by rho(x) relabels entries, (rho(x) T rho(x)^-1)[a, b] =
+    T[a x, b x], so a conjugation sum holds the index rows a -> a x.
     """
 
     def __init__(self, group: GroupTable, kind: str, *, mask=None,
@@ -104,7 +113,7 @@ class Superoperator:
             self.elements = tuple(int(x) for x in elements)
             if len(self.weights) != len(self.elements):
                 raise ValueError("weights and elements differ in length")
-            self._rhos = [right_regular(group, x) for x in self.elements]
+            self._perms = group.table[:, list(self.elements)].T
         elif kind == "dense":
             self.matrix = np.asarray(matrix, dtype=complex)
             if self.matrix.shape != (n * n, n * n):
@@ -125,8 +134,8 @@ class Superoperator:
             return self.mask * t_mat
         if self.kind == "conj_sum":
             out = np.zeros((n, n), dtype=complex)
-            for w, rho in zip(self.weights, self._rhos):
-                out += w * (rho @ t_mat @ rho.conj().T)
+            for w, p in zip(self.weights, self._perms):
+                out += w * t_mat[np.ix_(p, p)]
             return out
         return (self.matrix @ t_mat.reshape(-1)).reshape(n, n)
 
@@ -141,8 +150,9 @@ class Superoperator:
                 self._dense = np.diag(self.mask.reshape(-1))
             elif self.kind == "conj_sum":
                 acc = np.zeros((n * n, n * n), dtype=complex)
-                for w, rho in zip(self.weights, self._rhos):
-                    acc += w * np.kron(rho, rho.conj())
+                rows = np.arange(n * n)
+                for w, p in zip(self.weights, self._perms):
+                    acc[rows, (n * p[:, None] + p[None, :]).ravel()] += w
                 self._dense = acc
             else:
                 self._dense = self.matrix
@@ -158,21 +168,8 @@ class Superoperator:
         if self.kind == "conj_sum":
             return Superoperator(g, "conj_sum", weights=self.weights,
                                  elements=[g.inv(x) for x in self.elements])
-        n = g.order
-        swap = _swap_matrix(n)
-        return Superoperator(g, "dense", matrix=swap @ self.matrix.T @ swap)
-
-
-def _swap_matrix(n: int) -> np.ndarray:
-    """Permutation matrix of vec(X) -> vec(X^T)."""
-    idx = (np.arange(n * n).reshape(n, n).T).reshape(-1)
-    mat = np.zeros((n * n, n * n))
-    mat[np.arange(n * n), idx] = 1.0
-    return mat
-
-
-def identity_superoperator(group: GroupTable) -> Superoperator:
-    return Superoperator(group, "schur", mask=np.ones((group.order, group.order)))
+        s = transpose_index(g.order)
+        return Superoperator(g, "dense", matrix=self.matrix.T[np.ix_(s, s)])
 
 
 def theta(mu: Measure) -> Superoperator:
@@ -238,12 +235,6 @@ def _pair_perm_w_hat(group: GroupTable) -> np.ndarray:
     return n * group.table[b, a] + b
 
 
-def _perm_matrix(perm: np.ndarray) -> np.ndarray:
-    mat = np.zeros((len(perm), len(perm)))
-    mat[perm, np.arange(len(perm))] = 1.0
-    return mat.astype(complex)
-
-
 def fundamental_unitary(group: GroupTable) -> np.ndarray:
     """W on l2(G x G): (W xi)(x, y) = xi(x, x y), as an n^2 x n^2 matrix in
     row-major pair order."""
@@ -254,9 +245,7 @@ def fundamental_unitary(group: GroupTable) -> np.ndarray:
 def flip_unitary(group: GroupTable) -> np.ndarray:
     """The tensor flip delta_(a,b) -> delta_(b,a)."""
     _check_doubled_cap(group)
-    n = group.order
-    a, b = np.divmod(np.arange(n * n), n)
-    return _perm_matrix(n * b + a)
+    return _perm_matrix(transpose_index(group.order))
 
 
 def dual_unitary(group: GroupTable) -> np.ndarray:

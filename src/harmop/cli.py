@@ -1,7 +1,7 @@
 """Batch driver: load inputs, run verification suites, emit reports.
 
 Exit codes: 0 all checks passed, 1 at least one check failed or did not
-converge, 2 usage or input error.
+converge or a numerical contract broke, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -27,18 +27,21 @@ from .groups import (
 from .functions import (
     GroupFunction,
     Measure,
+    ToleranceMisconfiguration,
     constant_function,
     delta_function,
     function_from_json,
     in_p1,
+    level_set_one,
     measure_from_json,
     uniform_measure,
 )
-from .linalg import Tolerances, double_commutant, projector_distance
+from .linalg import LinAlgContractError, Tolerances, double_commutant, projector_distance
 from .actions import left_regular, mult_op, theta, theta_hat
 from .support import annihilator_ideal, operator_support
 from .harmonic import (
     ConvergenceError,
+    HarmonicReport,
     fixed_points,
     harmonic_functions,
     invariant_algebra,
@@ -145,8 +148,11 @@ def _resolve_mus(spec: str, group: GroupTable, count: int,
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecord]:
+def _suite_verify(group: GroupTable, sigmas,
+                  tol: Tolerances) -> tuple[list[CheckRecord], list[HarmonicReport]]:
+    """The verify checks, and the three-route report of each sigma."""
     checks = []
+    reports = []
     for k, sub in enumerate(all_subgroups(group)):
         report = invariant_algebra(sub, tol)
         checks.append(CheckRecord(
@@ -159,6 +165,7 @@ def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecor
         ))
     for name, sigma in sigmas:
         report = verify_main_theorem(sigma, tol, parameter=name)
+        reports.append(report)
         if report.p1_mode:
             dims = set(report.dims.values())
             checks.append(CheckRecord(
@@ -186,7 +193,7 @@ def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecor
                 metric=float(max(report.distances.values())),
                 tolerance=tol.eq_tol,
             ))
-    return checks
+    return checks, reports
 
 
 def _suite_support(group: GroupTable, count: int, rng: np.random.Generator,
@@ -247,6 +254,16 @@ def _suite_support(group: GroupTable, count: int, rng: np.random.Generator,
 def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list[CheckRecord]:
     checks = []
     n = group.order
+
+    def duality(name: str, phi, fixed) -> CheckRecord:
+        ideal = pre_annihilator_ideal(phi, tol)
+        return CheckRecord(
+            name=f"fixed-points/{name}/duality_dims",
+            statement="fixed points and pre-annihilator have complementary dimensions",
+            passed=fixed.dim + ideal.dim == n * n,
+            metric=float(abs(fixed.dim + ideal.dim - n * n)), tolerance=0.0,
+        )
+
     vn = double_commutant([left_regular(group, x) for x in range(n)], n, tol)
     for name, mu in mus:
         space = harmonic_functions(mu, tol)
@@ -256,7 +273,8 @@ def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list
             statement="dim of harmonic functions = index of the subgroup generated by supp(mu)",
             passed=space.dim == index, metric=float(abs(space.dim - index)), tolerance=0.0,
         ))
-        fixed = fixed_points(theta(mu), tol)
+        action = theta(mu)
+        fixed = fixed_points(action, tol)
         if index == 1:
             dist = projector_distance(fixed, vn)
             checks.append(CheckRecord(
@@ -265,22 +283,10 @@ def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list
                           "for adapted mu",
                 passed=dist <= tol.eq_tol, metric=dist, tolerance=tol.eq_tol,
             ))
-        ideal = pre_annihilator_ideal(theta(mu), tol)
-        checks.append(CheckRecord(
-            name=f"fixed-points/{name}/duality_dims",
-            statement="fixed points and pre-annihilator have complementary dimensions",
-            passed=fixed.dim + ideal.dim == n * n,
-            metric=float(abs(fixed.dim + ideal.dim - n * n)), tolerance=0.0,
-        ))
+        checks.append(duality(name, action, fixed))
     for name, sigma in sigmas:
-        fixed = fixed_points(theta_hat(sigma), tol)
-        ideal = pre_annihilator_ideal(theta_hat(sigma), tol)
-        checks.append(CheckRecord(
-            name=f"fixed-points/{name}/duality_dims",
-            statement="fixed points and pre-annihilator have complementary dimensions",
-            passed=fixed.dim + ideal.dim == n * n,
-            metric=float(abs(fixed.dim + ideal.dim - n * n)), tolerance=0.0,
-        ))
+        action = theta_hat(sigma)
+        checks.append(duality(name, action, fixed_points(action, tol)))
     return checks
 
 
@@ -306,8 +312,6 @@ def _suite_ideals(group: GroupTable, sigmas, mus, tol: Tolerances) -> list[Check
             tolerance=tol.eq_tol,
         ))
         if in_p1(sigma, tol):
-            from .functions import level_set_one
-
             expected = n * n - n * len(level_set_one(sigma, tol))
             checks.append(CheckRecord(
                 name=f"ideals/{name}/dimension",
@@ -384,20 +388,17 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances, max_n: int,
     return checks
 
 
-def _suite_fuzz(group: GroupTable, sigmas, count: int, rng: np.random.Generator,
-                tol: Tolerances) -> list[CheckRecord]:
-    checks = _suite_verify(group, sigmas, tol)
-    strict = 0
-    for name, sigma in sigmas:
-        report = verify_main_theorem(sigma, tol, parameter=name)
-        dims = report.dims
-        if dims["fixed_points"] < dims.get("stripe_span", dims["fixed_points"]):
-            strict += 1
+def _suite_fuzz(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecord]:
+    checks, reports = _suite_verify(group, sigmas, tol)
+    strict = sum(
+        int(r.dims["fixed_points"] < r.dims.get("stripe_span", r.dims["fixed_points"]))
+        for r in reports
+    )
     checks.append(CheckRecord(
         name="fuzz/strict_inclusion_candidates",
         statement="candidate sigmas where the fixed points sit strictly inside the "
                   "level-set stripe span (none are expected on finite groups)",
-        passed=True, metric=float(strict), tolerance=0.0,
+        passed=strict == 0, metric=float(strict), tolerance=0.0,
     ))
     return checks
 
@@ -410,7 +411,7 @@ def run(config: RunConfig) -> Report:
     checks: list[CheckRecord]
     if config.command == "verify":
         sigmas = _resolve_sigmas(config.sigma, group, config.count, rng, tol)
-        checks = _suite_verify(group, sigmas, tol)
+        checks, _ = _suite_verify(group, sigmas, tol)
     elif config.command == "support":
         checks = _suite_support(group, max(config.count, 1), rng, tol)
     elif config.command == "fixed-points":
@@ -426,7 +427,7 @@ def run(config: RunConfig) -> Report:
         checks = _suite_limit_product(group, mus, tol, config.max_n, rng)
     elif config.command == "fuzz":
         sigmas = _resolve_sigmas("gen:nonpd", group, config.count, rng, tol)
-        checks = _suite_fuzz(group, sigmas, config.count, rng, tol)
+        checks = _suite_fuzz(group, sigmas, tol)
     else:
         raise ValueError(f"unknown command {config.command!r}")
     checks.sort(key=lambda c: c.name)
@@ -505,6 +506,10 @@ def main(argv=None) -> int:
     )
     try:
         report = run(config)
+    except (LinAlgContractError, ToleranceMisconfiguration) as exc:
+        # a broken numerical contract is a failed check, not bad input
+        print(f"harmop: check failed: {exc}", file=sys.stderr)
+        return 1
     except (SchemaError, GroupTableError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"harmop: error: {exc}", file=sys.stderr)
         return 2

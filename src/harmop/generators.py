@@ -6,7 +6,7 @@ import numpy as np
 
 from .groups import GroupTable, all_subgroups, generated_subgroup
 from .functions import GroupFunction, Measure
-from .actions import left_regular
+from .actions import displacement_table
 
 
 def random_positive_definite(group: GroupTable, rng: np.random.Generator) -> GroupFunction:
@@ -81,9 +81,7 @@ def random_sparse_operator(group: GroupTable, rng: np.random.Generator,
 
 
 def random_translation_combination(group: GroupTable, rng: np.random.Generator) -> np.ndarray:
-    """A random element of the span of the left translations."""
+    """A random element of the span of the left translations: sum_x c_x
+    lambda(x) has entry c_x at (a, b) exactly when a b^-1 = x."""
     coeff = rng.standard_normal(group.order) + 1j * rng.standard_normal(group.order)
-    out = np.zeros((group.order, group.order), dtype=complex)
-    for x, c in enumerate(coeff):
-        out += c * left_regular(group, x)
-    return out
+    return coeff[displacement_table(group)]

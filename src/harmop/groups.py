@@ -321,29 +321,24 @@ class Subgroup:
 
     def right_cosets(self) -> list[tuple[int, ...]]:
         """Orbits Hy of left translation by the subgroup, each sorted."""
-        g = self.parent
-        seen: set[int] = set()
-        cosets = []
-        for y in range(g.order):
-            if y in seen:
-                continue
-            orbit = tuple(sorted(g.mul(h, y) for h in self.members))
-            seen.update(orbit)
-            cosets.append(orbit)
-        return cosets
+        return _orbits(self.parent.table[list(self.members), :])
 
     def left_cosets(self) -> list[tuple[int, ...]]:
         """Cosets yH, each sorted."""
-        g = self.parent
-        seen: set[int] = set()
-        cosets = []
-        for y in range(g.order):
-            if y in seen:
-                continue
-            orbit = tuple(sorted(g.mul(y, h) for h in self.members))
+        return _orbits(self.parent.table[:, list(self.members)].T)
+
+
+def _orbits(images: np.ndarray) -> list[tuple[int, ...]]:
+    """Orbits of a subgroup action whose images of y form column y of
+    ``images``; each orbit sorted, the orbits ordered by smallest member."""
+    seen: set[int] = set()
+    orbits = []
+    for y in range(images.shape[1]):
+        if y not in seen:
+            orbit = tuple(int(v) for v in np.sort(images[:, y]))
             seen.update(orbit)
-            cosets.append(orbit)
-        return cosets
+            orbits.append(orbit)
+    return orbits
 
 
 def generated_subgroup(group: GroupTable, gens) -> Subgroup:

@@ -4,6 +4,7 @@ ideal suite in the trace-class predual."""
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -14,8 +15,6 @@ from .functions import (
     GroupFunction,
     Measure,
     convolution_matrix,
-    convolve,
-    convolve_measures,
     delta_function,
     in_p1,
     level_set_one,
@@ -24,6 +23,7 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    commutant,
     double_commutant,
     null_space,
     projector_distance,
@@ -32,13 +32,14 @@ from .linalg import (
 from .actions import (
     Superoperator,
     bullet,
+    displacement_table,
     left_regular,
     pi_quotient,
     schur_mask,
     theta,
     theta_hat,
     trace_pairing,
-    _swap_matrix,
+    transpose_index,
 )
 
 
@@ -84,27 +85,34 @@ def harmonic_operators(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> S
     return fixed_points(theta_hat(sigma), tol)
 
 
+def _diagonal_units(n: int) -> list[np.ndarray]:
+    """The matrix units E_aa; they span the multiplication operators."""
+    units = np.zeros((n, n, n))
+    units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    return list(units)
+
+
+def _coordinate_span(mask: np.ndarray) -> Subspace:
+    """span{E_ab : mask[a, b]}, with basis columns in row-major order."""
+    cols = np.flatnonzero(mask)
+    basis = np.zeros((mask.size, len(cols)), dtype=complex)
+    basis[cols, np.arange(len(cols))] = 1.0
+    return Subspace(mask.size, basis)
+
+
 def _stripe_span(group: GroupTable, level) -> Subspace:
     """span{E_ab : a b^-1 in level}: operators supported on the level set."""
-    n = group.order
-    disp = group.table[:, group.inverse]
-    flags = np.isin(disp, np.asarray(sorted(level), dtype=disp.dtype)).reshape(-1)
-    cols = np.flatnonzero(flags)
-    basis = np.zeros((n * n, len(cols)), dtype=complex)
-    basis[cols, np.arange(len(cols))] = 1.0
-    return Subspace(n * n, basis)
+    return _coordinate_span(np.isin(displacement_table(group), list(level)))
 
 
 def _bimodule_span(group: GroupTable, level, tol: Tolerances) -> Subspace:
     """span{M_f lambda(x) : x in level, f arbitrary}, built from products."""
     n = group.order
+    units = _diagonal_units(n)
     rows = []
     for x in sorted(level):
         lam = left_regular(group, x)
-        for a in range(n):
-            diag = np.zeros((n, n))
-            diag[a, a] = 1.0
-            rows.append((diag @ lam).reshape(-1))
+        rows.extend((diag @ lam).reshape(-1) for diag in units)
     if not rows:
         return Subspace.zero(n * n)
     return Subspace.from_span(np.stack(rows), tol)
@@ -152,11 +160,7 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
     fixed = harmonic_operators(sigma, tol)
     stripe = _stripe_span(g, level)
     if p1:
-        gens = [left_regular(g, x) for x in level]
-        for a in range(n):
-            diag = np.zeros((n, n))
-            diag[a, a] = 1.0
-            gens.append(diag)
+        gens = [left_regular(g, x) for x in level] + _diagonal_units(n)
         algebra = double_commutant(gens, n, tol)
         dims = {
             "fixed_points": fixed.dim,
@@ -218,50 +222,35 @@ def limit_product(mode: str, a, b, mu: Measure, max_n: int = 10_000,
     """
     if not mu.is_probability(tol):
         raise ValueError("limit products are defined for probability measures")
-    g = mu.group
     if mode == "function":
         if not (isinstance(a, GroupFunction) and isinstance(b, GroupFunction)):
             raise ValueError("function mode expects GroupFunction inputs")
-        for name, f in (("first", a), ("second", b)):
-            if np.abs(convolve(mu, f).values - f.values).max() > tol.eq_tol:
-                warnings.warn(f"{name} factor is not harmonic for this measure")
-        product = GroupFunction(g, a.values * b.values)
-        power = mu
-        state = convolve(power, product).values
-        average = state.copy()
-        residual = float("inf")
-        for n in range(2, max_n + 1):
-            power = convolve_measures(power, mu)
-            state = convolve(power, product).values
-            step = (state - average) / n
-            average = average + step
-            residual = float(np.abs(step).max())
-            if residual <= stop_tol:
-                return LimitResult(GroupFunction(g, average), n, residual)
-        raise ConvergenceError(
-            f"no convergence within {max_n} steps (residual {residual:.3e})", residual
-        )
-    if mode == "operator":
-        a = np.asarray(a, dtype=complex)
-        b = np.asarray(b, dtype=complex)
-        action = theta(mu)
-        for name, t_mat in (("first", a), ("second", b)):
-            if np.abs(action.apply(t_mat) - t_mat).max() > tol.eq_tol:
-                warnings.warn(f"{name} factor is not harmonic for this measure")
-        state = action.apply(a @ b)
-        average = state.copy()
-        residual = float("inf")
-        for n in range(2, max_n + 1):
-            state = action.apply(state)
-            step = (state - average) / n
-            average = average + step
-            residual = float(np.abs(step).max())
-            if residual <= stop_tol:
-                return LimitResult(average, n, residual)
-        raise ConvergenceError(
-            f"no convergence within {max_n} steps (residual {residual:.3e})", residual
-        )
-    raise ValueError(f"mode must be 'function' or 'operator', got {mode!r}")
+        advance = functools.partial(np.matmul, convolution_matrix(mu))
+        factors = (a.values, b.values)
+        product = a.values * b.values
+    elif mode == "operator":
+        advance = theta(mu).apply
+        factors = (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        product = factors[0] @ factors[1]
+    else:
+        raise ValueError(f"mode must be 'function' or 'operator', got {mode!r}")
+    for name, f in zip(("first", "second"), factors):
+        if np.abs(advance(f) - f).max() > tol.eq_tol:
+            warnings.warn(f"{name} factor is not harmonic for this measure")
+    state = advance(product)
+    average = state.copy()
+    residual = float("inf")
+    for n in range(2, max_n + 1):
+        state = advance(state)
+        step = (state - average) / n
+        average = average + step
+        residual = float(np.abs(step).max())
+        if residual <= stop_tol:
+            value = GroupFunction(mu.group, average) if mode == "function" else average
+            return LimitResult(value, n, residual)
+    raise ConvergenceError(
+        f"no convergence within {max_n} steps (residual {residual:.3e})", residual
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -272,13 +261,6 @@ def pre_annihilator_ideal(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> 
     fixed points; dimensions are complementary to fixed_points(phi)."""
     dense = phi.pre_adjoint().dense()
     return range_space(dense - np.eye(dense.shape[0]), tol, scale=_map_scale(dense))
-
-
-def _offdiagonal_span(n: int) -> Subspace:
-    cols = [a * n + b for a in range(n) for b in range(n) if a != b]
-    basis = np.zeros((n * n, len(cols)), dtype=complex)
-    basis[cols, np.arange(len(cols))] = 1.0
-    return Subspace(n * n, basis)
 
 
 def _traceless_span(n: int, tol: Tolerances) -> Subspace:
@@ -360,24 +342,19 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     action = theta_hat(sigma)
     ideal = pre_annihilator_ideal(action, tol)
     fixed = fixed_points(action, tol)
-    perp = _offdiagonal_span(n)
+    perp = _coordinate_span(~np.eye(n, dtype=bool))
     traceless = _traceless_span(n, tol)
-    swap = _swap_matrix(n)
-    pairings = ideal.basis.T @ (swap @ fixed.basis)
+    pairings = ideal.basis.T @ fixed.basis[transpose_index(n)]
     orth = float(np.abs(pairings).max()) if pairings.size else 0.0
     sigma_e = abs(complex(sigma.values[g.identity]) - 1.0) <= tol.eq_tol
     pi_i, pi_p, pi_t = ideal.projector, perp.projector, traceless.projector
     ideal_in_perp = float(np.linalg.norm(pi_i @ pi_p - pi_i)) if sigma_e else None
     perp_in_traceless = float(np.linalg.norm(pi_p @ pi_t - pi_p))
-    quotient = 0.0
-    for x in range(n):
-        f_mat = np.zeros((n, n), dtype=complex)
-        f_mat[x, x] = 1.0
-        for y in range(n):
-            g_mat = np.zeros((n, n), dtype=complex)
-            g_mat[y, y] = 1.0
-            expected = trace_pairing(np.eye(n), f_mat) * g_mat
-            quotient = max(quotient, float(np.abs(bullet(g, f_mat, g_mat) - expected).max()))
+    units = _diagonal_units(n)
+    quotient = max(
+        float(np.abs(bullet(g, f_mat, g_mat) - trace_pairing(np.eye(n), f_mat) * g_mat).max())
+        for f_mat in units for g_mat in units
+    )
     return IdealSuiteReport(
         group_name=g.name,
         sigma_at_identity_is_one=sigma_e,
@@ -417,8 +394,6 @@ def invariant_algebra(subgroup: Subgroup, tol: Tolerances = DEFAULT_TOL) -> Inva
     """Functions invariant under left translation by a subgroup, as diagonal
     operators, against the commutant of {lambda(h)} united with the diagonal.
     The two must coincide, with dimension the number of orbits."""
-    from .linalg import commutant
-
     g = subgroup.parent
     n = g.order
     cosets = subgroup.right_cosets()
@@ -427,11 +402,7 @@ def invariant_algebra(subgroup: Subgroup, tol: Tolerances = DEFAULT_TOL) -> Inva
         for y in coset:
             basis[y * n + y, k] = 1.0 / np.sqrt(len(coset))
     invariant = Subspace(n * n, basis)
-    gens = [left_regular(g, h) for h in subgroup]
-    for a in range(n):
-        diag = np.zeros((n, n))
-        diag[a, a] = 1.0
-        gens.append(diag)
+    gens = [left_regular(g, h) for h in subgroup] + _diagonal_units(n)
     comm = commutant(gens, n, tol)
     return InvariantAlgebraReport(
         group_name=g.name,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupTable
-from .linalg import DEFAULT_TOL, Subspace, Tolerances, null_space
+from .linalg import DEFAULT_TOL, LinAlgContractError, Subspace, Tolerances, null_space
 from .actions import displacement_table
 
 
@@ -68,7 +68,7 @@ def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
             prod = np.zeros(n, dtype=complex)
             prod[x] = phi[x]
             if np.linalg.norm(proj @ prod - prod) > tol.eq_tol:
-                raise ValueError("annihilator space is not an ideal; tolerances skewed")
+                raise LinAlgContractError("annihilator space is not an ideal; tolerances skewed")
     # x lies in the hull iff every ideal element vanishes at x iff the
     # orthonormal basis has a (numerically) zero row there
     row_norms = np.linalg.norm(ideal.basis, axis=1) if ideal.dim else np.zeros(n)

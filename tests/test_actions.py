@@ -36,6 +36,7 @@ from harmop.actions import (
     theta_hat,
     theta_hat_sum_form,
     trace_pairing,
+    transpose_index,
 )
 
 Z2 = cyclic_group(2)
@@ -287,6 +288,30 @@ def test_representations_agree_on_matrix_units():
             for b in range(4):
                 unit = _unit(Z4, a, b)
                 assert np.abs(phi.apply(unit) - dense.apply(unit)).max() < 1e-12
+
+
+def test_conj_sum_matches_explicit_conjugation_on_nonabelian_group():
+    # on S3 a left/right mix-up in the index relabeling changes the result
+    rng = np.random.default_rng(19)
+    mu = Measure(S3, rng.random(6) + 1j * rng.random(6))
+    phi = theta(mu)
+    rhos = [right_regular(S3, x) for x in range(6)]
+    t_mat = _rand(S3, rng)
+    expected = sum(w * (rho @ t_mat @ rho.conj().T) for w, rho in zip(mu.weights, rhos))
+    assert np.abs(phi.apply(t_mat) - expected).max() < 1e-12
+    expected_dense = sum(w * np.kron(rho, rho.conj()) for w, rho in zip(mu.weights, rhos))
+    assert np.abs(phi.dense() - expected_dense).max() < 1e-12
+
+
+def test_transpose_index_and_dense_pre_adjoint():
+    rng = np.random.default_rng(20)
+    x = _rand(S3, rng)
+    assert np.array_equal(x.reshape(-1)[transpose_index(6)], x.T.reshape(-1))
+    matrix = rng.standard_normal((36, 36))
+    swap = np.eye(36)[transpose_index(6)]
+    star = Superoperator(S3, "dense", matrix=matrix).pre_adjoint()
+    assert np.array_equal(star.matrix, swap @ matrix.T @ swap)
+    assert np.array_equal(flip_unitary(S3), swap)
 
 
 def test_pre_adjoint_of_identity():

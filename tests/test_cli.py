@@ -1,10 +1,11 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from harmop.cli import CheckRecord, Report, RunConfig, emit, main, parse_report, run
-from harmop.groups import symmetric_group
+from harmop.cli import COMMANDS, CheckRecord, Report, RunConfig, emit, main, parse_report, run
+from harmop.groups import cyclic_group, symmetric_group
 from harmop.functions import function_to_json, indicator_function, measure_to_json
 from harmop.functions import Measure
 
@@ -132,3 +133,88 @@ def test_check_record_fields():
         assert isinstance(check, CheckRecord)
         assert check.name and check.statement
         assert isinstance(check.metric, float)
+
+
+SIGNATURE_GROUPS = ("Z6", "S3")
+SIGNATURES = Path(__file__).parent / "data" / "cli_signatures.json"
+
+
+def _signature(command: str, group: str) -> list[dict]:
+    """Check names, verdicts and, for exact checks (tolerance 0), the integer
+    metric of a fixed-seed report; a refactor must leave these unchanged."""
+    report = run(RunConfig(command=command, group=group, count=2, seed=0))
+    out = []
+    for c in report.checks:
+        entry = {"name": c.name, "passed": c.passed}
+        if c.tolerance == 0:
+            entry["metric"] = int(c.metric)
+        out.append(entry)
+    return out
+
+
+@pytest.mark.parametrize("group", SIGNATURE_GROUPS)
+@pytest.mark.parametrize("command", COMMANDS)
+def test_fixed_seed_report_signature(command, group):
+    expected = json.loads(SIGNATURES.read_text())[group][command]
+    assert _signature(command, group) == expected
+
+
+def test_fuzz_runs_the_three_routes_once_per_sigma(monkeypatch):
+    import harmop.cli as cli
+
+    calls = []
+    original = cli.verify_main_theorem
+
+    def counting(sigma, tol, parameter="sigma"):
+        calls.append(parameter)
+        return original(sigma, tol, parameter=parameter)
+
+    monkeypatch.setattr(cli, "verify_main_theorem", counting)
+    report = run(RunConfig(command="fuzz", group="S3", count=3, seed=0))
+    assert sorted(calls) == ["nonpd0", "nonpd1", "nonpd2"]
+    strict = [c for c in report.checks if c.name == "fuzz/strict_inclusion_candidates"]
+    assert len(strict) == 1 and strict[0].passed and strict[0].metric == 0.0
+
+
+def test_strict_inclusion_candidate_fails_the_fuzz_check(monkeypatch, capsys):
+    import dataclasses
+
+    import harmop.cli as cli
+
+    original = cli.verify_main_theorem
+
+    def shrunk(sigma, tol, parameter="sigma"):
+        report = original(sigma, tol, parameter=parameter)
+        dims = dict(report.dims, fixed_points=report.dims["stripe_span"] - 1)
+        return dataclasses.replace(report, dims=dims)
+
+    monkeypatch.setattr(cli, "verify_main_theorem", shrunk)
+    assert main(["fuzz", "--group", "S3", "--count", "2", "--seed", "0"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    strict = [c for c in checks if c["name"] == "fuzz/strict_inclusion_candidates"]
+    assert strict == [dict(strict[0], passed=False, metric=2.0)]
+
+
+@pytest.mark.parametrize("error", ["LinAlgContractError", "ToleranceMisconfiguration"])
+def test_broken_numerical_contract_exits_one(error, monkeypatch, capsys):
+    import harmop.cli as cli
+
+    def broken(*args, **kwargs):
+        raise getattr(cli, error)("skewed tolerances")
+
+    monkeypatch.setattr(cli, "verify_main_theorem", broken)
+    assert main(["verify", "--group", "Z4", "--count", "1"]) == 1
+    assert "skewed tolerances" in capsys.readouterr().err
+
+
+def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
+    import harmop.support as support
+    from harmop.linalg import LinAlgContractError, Subspace
+
+    t_mat = np.zeros((4, 4))
+    t_mat[0, 1] = 1.0
+    # a subspace of functions that is not closed under pointwise products
+    skew = Subspace.from_span([np.ones(4)])
+    monkeypatch.setattr(support, "null_space", lambda mat, tol: skew)
+    with pytest.raises(LinAlgContractError):
+        support.annihilator_ideal(cyclic_group(4), t_mat)

@@ -26,7 +26,7 @@ from harmop.actions import (
     theta,
     theta_hat,
     trace_pairing,
-    _swap_matrix,
+    transpose_index,
 )
 from harmop.harmonic import (
     ConvergenceError,
@@ -274,7 +274,6 @@ def test_pre_annihilator_of_delta_mask():
 
 def test_duality_dimensions_and_orthogonality():
     rng = np.random.default_rng(5)
-    swap = _swap_matrix(6)
     cases = [
         theta_hat(random_positive_definite(S3, rng)),
         theta(random_adapted_measure(S3, rng)),
@@ -285,7 +284,7 @@ def test_duality_dimensions_and_orthogonality():
         ideal = pre_annihilator_ideal(phi)
         assert fixed.dim + ideal.dim == 36
         if fixed.dim and ideal.dim:
-            pairings = ideal.basis.T @ swap @ fixed.basis
+            pairings = ideal.basis.T @ fixed.basis[transpose_index(6)]
             assert np.abs(pairings).max() <= 1e-10
 
 

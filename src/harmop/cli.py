@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -375,8 +376,11 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances, max_n: int,
     try:
         f = GroupFunction(group, rng.standard_normal(group.order))
         g_fn = GroupFunction(group, rng.standard_normal(group.order))
-        result = limit_product("function", f, g_fn, uniform_measure(group),
-                               max_n=max_n, stop_tol=tol.eq_tol, tol=tol)
+        # random f, g on purpose: the uniform measure's harmonic functions are constants
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", r".* factor is not harmonic", UserWarning)
+            result = limit_product("function", f, g_fn, uniform_measure(group),
+                                   max_n=max_n, stop_tol=tol.eq_tol, tol=tol)
         mean = np.mean(f.values * g_fn.values)
         metric = float(np.abs(result.value.values - mean).max())
         checks.append(CheckRecord(

@@ -8,6 +8,7 @@ vectors are always vectorized row-major.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +73,7 @@ class Subspace:
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim != 2:
             mat = mat.reshape(len(mat), -1)
-        ambient = mat.shape[1]
-        if mat.shape[0] == 0:
-            return cls.zero(ambient)
-        u, s, _ = np.linalg.svd(mat.T, full_matrices=False)
-        rank = int(np.sum(s > tol.rank_tol * (s[0] if s.size else 0.0)))
-        return cls(ambient, u[:, :rank])
+        return range_space(mat.T, tol)
 
     def contains_vector(self, v: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
         v = np.asarray(v, dtype=complex).reshape(-1)
@@ -92,7 +88,9 @@ def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
 
     ``scale`` overrides the reference norm; callers whose matrix is a
     difference of same-sized terms (commutators, Phi - id) pass the scale of
-    the terms so that an all-but-zero stack reads as rank zero.
+    the terms so that an all-but-zero stack reads as rank zero.  A stack
+    taller than wide is reduced to the R of its QR factorization, which has
+    the same singular values and right singular vectors, so no U is formed.
     """
     mat = np.asarray(mat, dtype=complex)
     if mat.ndim != 2:
@@ -102,6 +100,10 @@ def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
     rows, cols = mat.shape
     if rows == 0:
         return Subspace.full(cols)
+    if rows > cols:
+        # rows that are exactly zero change neither the singular values nor vh
+        nonzero = mat.any(axis=1)
+        mat = np.linalg.qr(mat if nonzero.all() else mat[nonzero], mode="r")
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
     cutoff = tol.rank_tol * (scale if scale is not None else (s[0] if s.size else 0.0))
     rank = int(np.sum(s > cutoff))
@@ -141,22 +143,14 @@ def subspace_contains(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -
 # ---------------------------------------------------------------------------
 # commutants
 
-def _vec(mat: np.ndarray) -> np.ndarray:
-    return np.asarray(mat, dtype=complex).reshape(-1)
-
-
-def _unvec(v: np.ndarray, n: int) -> np.ndarray:
-    return np.asarray(v, dtype=complex).reshape(n, n)
-
-
 def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """{X : XA = AX and XA* = A*X for all generators A} as vectorized matrices.
 
-    Adjoints are appended internally so the commutant is always taken of a
-    self-adjoint set; the result is then a *-algebra.  Computed as the null
-    space of the stacked Sylvester map X -> (AX - XA)_A, using the row-major
-    identity vec(AXB) = kron(A, B^T) vec(X).  An empty generator list needs
-    ``n`` and yields the full matrix space.
+    Adjoints not already in the list are appended, so the result is a
+    *-algebra.  Computed as the null space of the Sylvester stack X -> (AX -
+    XA)_A, whose row (i, j), column (k, l) is A[i, k] d(j, l) - d(i, k) A[l, j]
+    (row-major), filled for all generators at once by broadcasting into its
+    two diagonals.  An empty list needs ``n`` and yields the full space.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
     if not gens:
@@ -164,41 +158,46 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
             raise ValueError("pass n for an empty generator list")
         return Subspace.full(n * n)
     n = gens[0].shape[0]
-    blocks = []
-    eye = np.eye(n)
-    scale = 0.0
-    for g in gens:
-        if g.shape != (n, n):
-            raise ValueError(f"generator shape {g.shape} does not match ({n}, {n})")
-        scale = max(scale, float(np.linalg.norm(g, 2)))
-        for a in (g, g.conj().T):
-            blocks.append(np.kron(a, eye) - np.kron(eye, a.T))
+    if any(g.shape != (n, n) for g in gens):
+        raise ValueError(f"generators must all have shape ({n}, {n})")
+    # adding 0 turns -0.0 into 0.0, so exactly equal matrices have equal bytes
+    listed = {(g + 0).tobytes() for g in gens}
+    gens += [a for a in (g.conj().T for g in gens) if (a + 0).tobytes() not in listed]
+    stack = np.stack(gens)
+    sylvester = np.zeros((len(gens), n, n, n, n), dtype=complex)
+    # writable diagonal views: the j = l entries get A[i, k], the i = k ones -A[l, j]
+    np.einsum("gijkj->gijk", sylvester)[...] += stack[:, :, None]
+    np.einsum("gijil->gijl", sylvester)[...] -= stack.transpose(0, 2, 1)[:, None]
     # a commutator is "zero" relative to the generator scale, not relative to
     # the largest commutator in the stack
-    return null_space(np.vstack(blocks), tol, scale=scale)
+    scale = float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+    return null_space(sylvester.reshape(-1, n * n), tol, scale=scale)
 
 
 def double_commutant(generators, n: int | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """The *-algebra generated by the generators, via two commutant passes.
 
-    The second pass uses a basis of the first as its generators.  The result
-    is checked to be closed under product and adjoint within eq_tol.
+    The second pass uses a basis of the first as its generators.  All adjoints
+    and pairwise products are projected in blocks and must stay within
+    eq_tol * max(1, ||v||) of the result.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
-    if n is None:
-        if not gens:
-            raise ValueError("pass n for an empty generator list")
-        n = gens[0].shape[0]
-    first = commutant(gens, n, tol)
-    second = commutant([_unvec(first.basis[:, k], n) for k in range(first.dim)], n, tol)
-    mats = [_unvec(second.basis[:, k], n) for k in range(second.dim)]
-    for a in mats:
-        if not second.contains_vector(_vec(a.conj().T), tol):
-            raise LinAlgContractError("double commutant not closed under adjoint")
-        for b in mats:
-            if not second.contains_vector(_vec(a @ b), tol):
-                raise LinAlgContractError("double commutant not closed under product")
+    first = commutant(generators, n, tol)
+    n = math.isqrt(first.ambient_dim)
+    second = commutant(list(first.basis.T.reshape(-1, n, n)), n, tol)
+    mats = second.basis.T.reshape(-1, n, n)
+
+    def closed(vectors: np.ndarray) -> bool:
+        resid = np.linalg.norm(vectors - (vectors @ second.basis.conj()) @ second.basis.T, axis=1)
+        return bool(np.all(resid <= tol.eq_tol * np.maximum(1.0, np.linalg.norm(vectors, axis=1))))
+
+    if not closed(mats.conj().transpose(0, 2, 1).reshape(-1, n * n)):
+        raise LinAlgContractError("double commutant not closed under adjoint")
+    step = max(1, (1 << 20) // max(1, mats.size))  # about 16 MB of products
+    for start in range(0, len(mats), step):
+        prods = mats[start:start + step, None] @ mats
+        if not closed(prods.reshape(-1, n * n)):
+            raise LinAlgContractError("double commutant not closed under product")
     return second
 
 

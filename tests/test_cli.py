@@ -117,6 +117,12 @@ def test_measure_file_input(tmp_path, capsys):
     assert code == 0
 
 
+def test_support_runs_at_the_order_cap(capsys):
+    # order 120 is ORDER_CAP; the annihilator map is a 14400 x 120 stack
+    assert main(["support", "--group", "Z120", "--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
 def test_failed_check_gives_exit_one(capsys):
     # with no averaging budget the stopping rule cannot trigger, so each
     # limit-product check reports non-convergence and the run exits 1

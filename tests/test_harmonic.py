@@ -177,6 +177,14 @@ def test_main_theorem_adapted_sigma_gives_diagonals():
         assert subspace_equal(space, _diag_span(g.order))
 
 
+def test_main_theorem_at_the_doubled_space_cap():
+    # order 24 is SUPEROP_CAP; the commutator stacks reach 27648 x 576
+    s4 = symmetric_group(4)
+    report = verify_main_theorem(delta_function(s4, s4.identity))
+    assert report.passed
+    assert report.dims == {"fixed_points": 24, "generated_algebra": 24, "stripe_span": 24}
+
+
 def test_main_theorem_constant_sigma_gives_everything():
     report = verify_main_theorem(constant_function(S3))
     assert report.passed

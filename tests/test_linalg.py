@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from harmop.groups import cyclic_group
+import harmop.linalg as linalg
+from harmop.groups import cyclic_group, symmetric_group
 from harmop.actions import left_regular
 from harmop.linalg import (
     DEFAULT_TOL,
+    LinAlgContractError,
     Subspace,
     Tolerances,
     commutant,
@@ -168,6 +170,122 @@ def test_double_commutant_contains_generators_and_identity():
     for g in gens:
         v = g.reshape(-1)
         assert space.contains_vector(v / np.linalg.norm(v))
+
+
+def _tall_stack_with_known_kernel():
+    rng = np.random.default_rng(6)
+    kernel, _ = np.linalg.qr(rng.standard_normal((60, 10)) + 1j * rng.standard_normal((60, 10)))
+    mat = rng.standard_normal((3600, 60)) + 1j * rng.standard_normal((3600, 60))
+    return mat @ (np.eye(60) - kernel @ kernel.conj().T), kernel
+
+
+@pytest.mark.parametrize("scale", [None, 100.0])
+def test_null_space_of_tall_stack_matches_whole_stack_svd(scale):
+    mat, kernel = _tall_stack_with_known_kernel()
+    space = null_space(mat, scale=scale)
+    # reference: the SVD of the whole stack, without any reduction (vh is
+    # square either way, since the stack is taller than wide)
+    _, s, vh = np.linalg.svd(mat, full_matrices=False)
+    cutoff = DEFAULT_TOL.rank_tol * (scale if scale is not None else s[0])
+    reference = Subspace(60, vh[int(np.sum(s > cutoff)):].conj().T)
+    assert space.dim == reference.dim == 10
+    assert projector_distance(space, reference) <= DEFAULT_TOL.eq_tol
+    assert projector_distance(space, Subspace(60, kernel)) <= DEFAULT_TOL.eq_tol
+
+
+def test_null_space_of_tall_stack_never_decomposes_a_tall_matrix(monkeypatch):
+    mat, _ = _tall_stack_with_known_kernel()
+    shapes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    null_space(mat)
+    assert shapes and all(rows <= cols for rows, cols in shapes)
+
+
+def test_null_space_drops_zero_rows_only():
+    mat, _ = _tall_stack_with_known_kernel()
+    padded = np.zeros((7200, 60), dtype=complex)
+    padded[::2] = mat
+    assert projector_distance(null_space(padded), null_space(mat)) == 0.0
+    assert null_space(np.zeros((5, 3))).dim == 3
+
+
+def _captured_stack(monkeypatch, gens):
+    stacks = []
+    original = linalg.null_space
+
+    def capture(mat, tol, scale=None):
+        stacks.append(mat)
+        return original(mat, tol, scale=scale)
+
+    monkeypatch.setattr(linalg, "null_space", capture)
+    space = commutant(gens)
+    monkeypatch.setattr(linalg, "null_space", original)
+    return stacks[0], space
+
+
+def test_commutator_stack_matches_kron_formula(monkeypatch):
+    rng = np.random.default_rng(7)
+    n = 4
+    gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
+    stack, _ = _captured_stack(monkeypatch, gens)
+    eye = np.eye(n)
+    # oracle: vec(AX - XA) = (kron(A, I) - kron(I, A^T)) vec(X), row-major
+    full = gens + [a.conj().T for a in gens]
+    expected = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in full])
+    assert stack.shape == expected.shape
+    assert np.abs(stack - expected).max() <= 1e-15
+
+
+def test_commutant_skips_adjoints_already_listed(monkeypatch):
+    rng = np.random.default_rng(8)
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = np.kron(np.eye(2), b)  # commutant kron(M_2, I_3), dimension 4
+    explicit, with_adjoint = _captured_stack(monkeypatch, [a, a.conj().T])
+    implicit, without_adjoint = _captured_stack(monkeypatch, [a])
+    assert explicit.shape == implicit.shape == (2 * 36, 36)
+    assert with_adjoint.dim == without_adjoint.dim == 4
+    assert projector_distance(with_adjoint, without_adjoint) <= DEFAULT_TOL.eq_tol
+    # left translations of S3 are closed under adjoint: no block is added
+    s3 = symmetric_group(3)
+    translations, _ = _captured_stack(monkeypatch, [left_regular(s3, x) for x in range(6)])
+    assert translations.shape == (6 * 36, 36)
+
+
+def _closure_failure(space, n):
+    # the per-pair loop that the batched check replaced, kept as the reference
+    mats = [space.basis[:, k].reshape(n, n) for k in range(space.dim)]
+    for a in mats:
+        if not space.contains_vector(a.conj().T.reshape(-1)):
+            return "adjoint"
+        for b in mats:
+            if not space.contains_vector((a @ b).reshape(-1)):
+                return "product"
+    return None
+
+
+@pytest.mark.parametrize("span", [
+    [[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, 1.0, 0.0]],  # span{1, flip}: closed
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],  # the diagonal: closed
+    [[1.0, 5e-9, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],  # tilted within eq_tol
+    [[1.0, 2e-8, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]],  # tilted beyond eq_tol
+    [[0.0, 1.0, 0.0, 0.0]],  # E_01, whose adjoint E_10 is outside
+    [[0.0, 1.0, 1.0, 0.0]],  # the flip, whose square 1 is outside
+])
+def test_double_commutant_closure_check_matches_pairwise_loop(monkeypatch, span):
+    skew = Subspace.from_span(span)
+    monkeypatch.setattr(linalg, "commutant", lambda gens, n, tol: skew)
+    expected = _closure_failure(skew, 2)
+    if expected is None:
+        assert double_commutant([np.eye(2)], 2) is skew
+    else:
+        with pytest.raises(LinAlgContractError, match=f"not closed under {expected}"):
+            double_commutant([np.eye(2)], 2)
 
 
 def test_psd_factorize_identity():

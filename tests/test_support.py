@@ -1,8 +1,10 @@
 import numpy as np
+import pytest
 
+import harmop.support as support
 from harmop.groups import cyclic_group, dihedral_group, generated_subgroup, symmetric_group
 from harmop.functions import GroupFunction, indicator_function
-from harmop.linalg import DEFAULT_TOL
+from harmop.linalg import DEFAULT_TOL, LinAlgContractError, Subspace
 from harmop.actions import displacement_table, left_regular, mult_op, theta_hat
 from harmop.support import annihilator_ideal, operator_support
 
@@ -133,3 +135,33 @@ def test_support_of_subgroup_indicator_mask():
     sigma = indicator_function(D4, h.members)
     masked = theta_hat(sigma).apply(np.ones((8, 8)))
     assert tuple(operator_support(D4, masked)) == h.members
+
+
+def _is_ideal_by_loop(space):
+    # the (basis column, point mass) loop that the closed form replaced
+    proj = space.projector
+    for k in range(space.dim):
+        for x in range(space.ambient_dim):
+            prod = np.zeros(space.ambient_dim, dtype=complex)
+            prod[x] = space.basis[x, k]
+            if np.linalg.norm(proj @ prod - prod) > DEFAULT_TOL.eq_tol:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("span", [
+    [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]],  # a coordinate span: an ideal
+    [[1.0, 5e-9, 0.0, 0.0]],  # tilted within eq_tol
+    [[1.0, 2e-8, 0.0, 0.0]],  # tilted beyond eq_tol
+    [[1.0, 1.0, 1.0, 1.0]],  # the constants
+    [],  # the zero ideal
+])
+def test_ideal_check_matches_point_mass_loop(monkeypatch, span):
+    space = Subspace.from_span(span) if span else Subspace.zero(4)
+    monkeypatch.setattr(support, "null_space", lambda mat, tol: space)
+    t_mat = np.zeros((4, 4))
+    if _is_ideal_by_loop(space):
+        assert annihilator_ideal(Z4, t_mat)[0] is space
+    else:
+        with pytest.raises(LinAlgContractError):
+            annihilator_ideal(Z4, t_mat)

@@ -21,11 +21,7 @@ import numpy as np
 
 from .groups import SUPEROP_CAP, GroupTable, SchemaError
 from .functions import GroupFunction, Measure
-from .linalg import DEFAULT_TOL, Tolerances, psd_factorize
-
-
-class SizeCapError(ValueError):
-    """The group is too large for a doubled-space computation."""
+from .linalg import DEFAULT_TOL, SizeCapError, Tolerances, psd_factorize
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ class Superoperator:
             return Superoperator(g, "schur", mask=self.mask.T)
         if self.kind == "conj_sum":
             return Superoperator(g, "conj_sum", weights=self.weights,
-                                 elements=[g.inv(x) for x in self.elements])
+                                 elements=g.inverse[list(self.elements)])
         s = transpose_index(g.order)
         return Superoperator(g, "dense", matrix=self.matrix.T[np.ix_(s, s)])
 

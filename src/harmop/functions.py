@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, SchemaError, Subgroup, characters
+from .groups import GroupTable, SchemaError, Subgroup, characters, generated_subgroup
 from .linalg import DEFAULT_TOL, Tolerances
 
 
@@ -90,8 +90,7 @@ def constant_function(group: GroupTable, c: complex = 1.0) -> GroupFunction:
 
 def indicator_function(group: GroupTable, members) -> GroupFunction:
     v = np.zeros(group.order, dtype=complex)
-    for x in members:
-        v[x] = 1.0
+    v[list(members)] = 1.0
     return GroupFunction(group, v)
 
 
@@ -158,8 +157,6 @@ def is_adapted_measure(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff the support of the probability measure generates the group."""
     if not mu.is_probability(tol):
         raise ValueError("adaptedness is defined for probability measures")
-    from .groups import generated_subgroup
-
     return len(generated_subgroup(mu.group, mu.support(tol))) == mu.group.order
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +41,21 @@ class GroupTable:
         if table.shape != (n, n):
             raise GroupTableError(f"table shape {table.shape} != ({n}, {n})")
         _validate_table(table)
-        identity = _find_identity(table)
+        # a Latin, associative table is already a group, so neither lookup can
+        # fail: the identity e solves 0 e = 0, and once e is relabeled to 0,
+        # a^-1 is where 0 sits in row a
+        identity = int(np.argmin(table[0] != 0))
         if identity != 0:
             perm = _relabeling(n, identity)
-            table = perm[table[np.ix_(np.argsort(perm), np.argsort(perm))]]
-            elements = [elements[i] for i in np.argsort(perm)]
+            old = np.argsort(perm)
+            table = perm[table[np.ix_(old, old)]]
+            elements = [elements[i] for i in old]
         self.name = name
         self.order = n
         self.elements = list(elements)
         self.table = table
         self.identity = 0
-        self.inverse = _find_inverses(table)
+        self.inverse = np.argmin(table, axis=1)
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
         self._abelian: bool | None = None
@@ -83,7 +86,13 @@ class GroupTable:
         return k
 
     def exponent(self) -> int:
-        return math.lcm(*(self.element_order(a) for a in range(self.order)))
+        """The least k with a^k = e for every a: all powers advance together."""
+        elems = np.arange(self.order)
+        powers, k = elems, 1
+        while np.any(powers != self.identity):
+            powers = self.table[powers, elems]
+            k += 1
+        return k
 
     def to_json(self) -> dict:
         """Group document; inverses and identity are derived, never stored."""
@@ -103,11 +112,11 @@ def _validate_table(table: np.ndarray) -> None:
             f"table[{bad[0]}][{bad[1]}] = {table[bad[0], bad[1]]} is out of range 0..{n - 1}"
         )
     full = np.arange(n)
-    for a in range(n):
-        if not np.array_equal(np.sort(table[a]), full):
-            raise GroupTableError(f"row {a} is not a permutation")
-        if not np.array_equal(np.sort(table[:, a]), full):
-            raise GroupTableError(f"column {a} is not a permutation")
+    bad_rows = np.any(np.sort(table, axis=1) != full, axis=1)
+    bad_cols = np.any(np.sort(table, axis=0) != full[:, None], axis=0)
+    if np.any(bad_rows | bad_cols):
+        a = int(np.argmax(bad_rows | bad_cols))
+        raise GroupTableError(f"{'row' if bad_rows[a] else 'column'} {a} is not a permutation")
     left = table[table]            # left[a, b, c] = (a*b)*c
     right = table[:, table]        # right[a, b, c] = a*(b*c)
     if not np.array_equal(left, right):
@@ -116,33 +125,10 @@ def _validate_table(table: np.ndarray) -> None:
                               f"({a}*{b})*{c} = {left[a, b, c]} but {a}*({b}*{c}) = {right[a, b, c]}")
 
 
-def _find_identity(table: np.ndarray) -> int:
-    n = table.shape[0]
-    full = np.arange(n)
-    for e in range(n):
-        if np.array_equal(table[e], full) and np.array_equal(table[:, e], full):
-            return e
-    raise GroupTableError("no identity element")
-
-
-def _find_inverses(table: np.ndarray) -> np.ndarray:
-    n = table.shape[0]
-    inv = np.empty(n, dtype=np.intp)
-    for a in range(n):
-        hits = np.flatnonzero(table[a] == 0)
-        if len(hits) != 1 or table[hits[0], a] != 0:
-            raise GroupTableError(f"element {a} has no two-sided inverse")
-        inv[a] = hits[0]
-    return inv
-
-
 def _relabeling(n: int, identity: int) -> np.ndarray:
     """Permutation old index -> new index moving the identity to slot 0."""
-    order = [identity] + [i for i in range(n) if i != identity]
-    perm = np.empty(n, dtype=np.intp)
-    for new, old in enumerate(order):
-        perm[old] = new
-    return perm
+    old = np.arange(n)
+    return np.where(old == identity, 0, old + (old < identity))
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +147,10 @@ def dihedral_group(n: int) -> GroupTable:
     index n+r the reflection s*r^r.  Encoded as maps x -> eps*x + t on Z_n."""
     if n < 1:
         raise ValueError("dihedral parameter must be positive")
-    elems = [(1, r) for r in range(n)] + [(-1, r) for r in range(n)]
-    index = {el: i for i, el in enumerate(elems)}
-    table = np.empty((2 * n, 2 * n), dtype=np.intp)
-    for i, (e1, r1) in enumerate(elems):
-        for j, (e2, r2) in enumerate(elems):
-            table[i, j] = index[(e1 * e2, (e1 * r2 + r1) % n)]
+    eps = np.repeat([1, -1], n)
+    r = np.tile(np.arange(n), 2)
+    # (e1, r1)(e2, r2) = (e1 e2, e1 r2 + r1), with index r or n + r
+    table = (eps[:, None] * r + r[:, None]) % n + n * (eps[:, None] * eps < 0)
     labels = [f"r{r}" for r in range(n)] + [f"sr{r}" for r in range(n)]
     return GroupTable(f"D{n}", labels, table)
 
@@ -175,43 +159,28 @@ def symmetric_group(m: int) -> GroupTable:
     """S_m on {0..m-1}, m <= 5, elements in lexicographic order."""
     if not 1 <= m <= 5:
         raise ValueError("symmetric degree must be between 1 and 5")
-    perms = sorted(itertools.permutations(range(m)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = np.empty((len(perms), len(perms)), dtype=np.intp)
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            table[i, j] = index[tuple(p[q[k]] for k in range(m))]
-    labels = ["".join(map(str, p)) for p in perms]
+    perms = np.array(sorted(itertools.permutations(range(m))))
+    # the base-m code of a permutation increases with its lexicographic rank
+    place = m ** np.arange(m - 1, -1, -1)
+    table = np.searchsorted(perms @ place, perms[:, perms] @ place)  # (p q)[k] = p[q[k]]
+    labels = ["".join(map(str, p)) for p in perms.tolist()]
     return GroupTable(f"S{m}", labels, table)
 
 
 _QUATERNION_UNITS = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
+# sign bit of the product of units u, v in (1, i, j, k): ii = jj = kk = -1, ik = -j, ...
+_QUATERNION_SIGNS = np.array([[0, 0, 0, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 1, 1]])
 
 
 def quaternion_group() -> GroupTable:
-    """The quaternion group Q8 = {±1, ±i, ±j, ±k}."""
-    basis = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}
+    """The quaternion group Q8 = {±1, ±i, ±j, ±k}.
 
-    def as_quat(label):
-        sign = -1 if label.startswith("-") else 1
-        vec = basis[label.lstrip("-")]
-        return tuple(sign * v for v in vec)
-
-    def quat_mul(p, q):
-        a1, b1, c1, d1 = p
-        a2, b2, c2, d2 = q
-        return (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        )
-
-    index = {as_quat(lbl): i for i, lbl in enumerate(_QUATERNION_UNITS)}
-    table = np.empty((8, 8), dtype=np.intp)
-    for i, p in enumerate(_QUATERNION_UNITS):
-        for j, q in enumerate(_QUATERNION_UNITS):
-            table[i, j] = index[quat_mul(as_quat(p), as_quat(q))]
+    Index 2u + s is the unit u in (1, i, j, k) with sign bit s.  The units
+    multiply as u XOR v (ij = k, jk = i, ki = j) up to the sign in _QUATERNION_SIGNS.
+    """
+    u, s = np.divmod(np.arange(8), 2)
+    sign = s[:, None] ^ s ^ _QUATERNION_SIGNS[u[:, None], u]
+    table = 2 * (u[:, None] ^ u) + sign
     return GroupTable("Q8", list(_QUATERNION_UNITS), table)
 
 
@@ -300,18 +269,21 @@ class Subgroup:
 
     def __post_init__(self):
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-        mem = set(self.members)
-        if self.parent.identity not in mem:
+        if self.parent.identity not in self.members:
             raise GroupTableError("subgroup misses the identity")
-        for a in mem:
-            if self.parent.inv(a) not in mem:
-                raise GroupTableError(f"subgroup not closed under inverse at {a}")
-            for b in mem:
-                if self.parent.mul(a, b) not in mem:
-                    raise GroupTableError(f"subgroup not closed under product at ({a}, {b})")
+        m = np.array(self.members)
+        inside = np.zeros(self.parent.order, dtype=bool)
+        inside[m] = True
+        closed = inside[self.parent.inverse[m]]
+        if not closed.all():
+            raise GroupTableError(f"subgroup not closed under inverse at {m[np.argmin(closed)]}")
+        closed = inside[self.parent.table[m][:, m]]
+        if not closed.all():
+            a, b = m[np.argwhere(~closed)[0]]
+            raise GroupTableError(f"subgroup not closed under product at ({a}, {b})")
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self.members
 
     def __iter__(self):
         return iter(self.members)
@@ -331,52 +303,42 @@ class Subgroup:
 def _orbits(images: np.ndarray) -> list[tuple[int, ...]]:
     """Orbits of a subgroup action whose images of y form column y of
     ``images``; each orbit sorted, the orbits ordered by smallest member."""
-    seen: set[int] = set()
-    orbits = []
-    for y in range(images.shape[1]):
-        if y not in seen:
-            orbit = tuple(int(v) for v in np.sort(images[:, y]))
-            seen.update(orbit)
-            orbits.append(orbit)
-    return orbits
+    orbits = np.sort(images, axis=0)
+    # column y holds the whole orbit of y; keep it when y is its smallest member
+    first = orbits[0] == np.arange(images.shape[1])
+    return [tuple(orbit) for orbit in orbits[:, first].T.tolist()]
 
 
 def generated_subgroup(group: GroupTable, gens) -> Subgroup:
     """Smallest subgroup containing ``gens``.
 
     In a finite group a set containing the identity and closed under products
-    is already a subgroup (inverses are positive powers), so a plain closure
-    sweep suffices.
+    is already a subgroup (inverses are positive powers), so squaring the set
+    until its size stops growing suffices.  The start set must be free of
+    duplicates, or a repeat would stop the loop early.
     """
-    gens = sorted(set(int(x) for x in gens))
-    for x in gens:
-        if not 0 <= x < group.order:
-            raise ValueError(f"generator index {x} out of range")
-    members = {group.identity, *gens}
-    changed = True
-    while changed:
-        changed = False
-        for a in list(members):
-            for b in list(members):
-                p = group.mul(a, b)
-                if p not in members:
-                    members.add(p)
-                    changed = True
-    return Subgroup(group, tuple(members))
+    members = np.unique([group.identity, *(int(x) for x in gens)])
+    out = members[(members < 0) | (members >= group.order)]
+    if out.size:
+        raise ValueError(f"generator index {out[0]} out of range")
+    while True:
+        grown = np.unique(group.table[members][:, members])
+        if len(grown) == len(members):
+            return Subgroup(group, tuple(members.tolist()))
+        members = grown
 
 
 def all_subgroups(group: GroupTable) -> list[Subgroup]:
     """Every subgroup, found by closing known subgroups under one extra
-    generator until nothing new appears.  Fine at desk scale."""
+    generator until nothing new appears.  Since <H, x> = <H, hx> for h in H,
+    one representative of each right coset Hx beyond H itself suffices."""
     found = {(group.identity,): Subgroup(group, (group.identity,))}
     frontier = list(found.values())
     while frontier:
         fresh = []
         for sub in frontier:
-            for x in range(group.order):
-                if x in sub:
-                    continue
-                bigger = generated_subgroup(group, set(sub.members) | {x})
+            for coset in sub.right_cosets()[1:]:
+                bigger = generated_subgroup(group, sub.members + coset[:1])
                 if bigger.members not in found:
                     found[bigger.members] = bigger
                     fresh.append(bigger)
@@ -407,37 +369,29 @@ def characters(group: GroupTable) -> list[Character]:
         raise ValueError(f"{group.name} is nonabelian; characters are not implemented")
     n = group.order
     big_l = group.exponent()
-    members = [group.identity]
-    exps = [np.zeros(n, dtype=np.int64)]
-    in_sub = {group.identity}
+    members = np.array([group.identity])
+    exps = np.zeros((1, n), dtype=np.int64)
+    inside = np.zeros(n, dtype=bool)
+    inside[members] = True
     while len(members) < n:
-        g = min(x for x in range(n) if x not in in_sub)
-        d, power = 1, g
-        while power not in in_sub:
-            power = group.mul(power, g)
-            d += 1
-        landing = power  # g^d, already in the subgroup
-        new_exps = []
-        for k in exps:
-            kd = int(k[landing])
-            assert kd % d == 0 and big_l % d == 0
-            for m in range(d):
-                t = (kd // d + m * (big_l // d)) % big_l
-                k2 = k.copy()
-                gj = group.identity
-                for j in range(d):
-                    for x in members:
-                        k2[group.mul(x, gj)] = (k[x] + j * t) % big_l
-                    gj = group.mul(gj, g)
-                new_exps.append(k2)
-        gj = group.identity
-        new_members = []
-        for _ in range(d):
-            new_members.extend(group.mul(x, gj) for x in members)
-            gj = group.mul(gj, g)
-        members = new_members
-        in_sub = set(members)
-        exps = new_exps
+        g = int(np.argmin(inside))
+        powers = [group.identity, g]
+        while not inside[powers[-1]]:
+            powers.append(group.mul(powers[-1], g))
+        landing = powers.pop()  # g^d, already in the subgroup
+        d = len(powers)
+        kd = exps[:, landing]
+        assert np.all(kd % d == 0) and big_l % d == 0
+        # character k extends in d ways, t = kd/d + m L/d for m < d, and sends
+        # the block x g^j (j < d, x in the subgroup) to k(x) + j t
+        t = (kd[:, None] // d + np.arange(d) * (big_l // d)) % big_l
+        block = group.table[members[None, :], np.array(powers)[:, None]]
+        j = np.arange(d)[:, None]
+        grown = np.repeat(exps[:, None], d, axis=1)
+        grown[:, :, block] = (exps[:, None, None, members] + j * t[:, :, None, None]) % big_l
+        members = block.reshape(-1)
+        inside[members] = True
+        exps = grown.reshape(-1, n)
     out = [Character(group, np.exp(2j * np.pi * k / big_l)) for k in exps]
     for ch in out:
         ch.values.setflags(write=False)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .groups import SUPEROP_CAP
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -30,6 +32,10 @@ DEFAULT_TOL = Tolerances()
 
 class LinAlgContractError(ValueError):
     """A verified algebraic contract failed (usually a tolerance mismatch)."""
+
+
+class SizeCapError(ValueError):
+    """The group is too large for a commutant or doubled-space computation."""
 
 
 class Subspace:
@@ -151,13 +157,17 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     XA)_A, whose row (i, j), column (k, l) is A[i, k] d(j, l) - d(i, k) A[l, j]
     (row-major), filled for all generators at once by broadcasting into its
     two diagonals.  An empty list needs ``n`` and yields the full space.
+    Matrices above SUPEROP_CAP raise SizeCapError before the n^4 stack is
+    allocated.
     """
     gens = [np.asarray(g, dtype=complex) for g in generators]
+    if not gens and n is None:
+        raise ValueError("pass n for an empty generator list")
+    n = gens[0].shape[0] if gens else n
+    if n > SUPEROP_CAP:
+        raise SizeCapError(f"commutants are capped at order {SUPEROP_CAP}, got {n}")
     if not gens:
-        if n is None:
-            raise ValueError("pass n for an empty generator list")
         return Subspace.full(n * n)
-    n = gens[0].shape[0]
     if any(g.shape != (n, n) for g in gens):
         raise ValueError(f"generators must all have shape ({n}, {n})")
     # adding 0 turns -0.0 into 0.0, so exactly equal matrices have equal bytes

@@ -25,7 +25,7 @@ class SupportSet:
     entry_tol: float
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.members)
+        return x in self.members
 
     def __iter__(self):
         return iter(self.members)

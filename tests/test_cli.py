@@ -224,3 +224,13 @@ def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
     monkeypatch.setattr(support, "null_space", lambda mat, tol: skew)
     with pytest.raises(LinAlgContractError):
         support.annihilator_ideal(cyclic_group(4), t_mat)
+
+
+@pytest.mark.parametrize("command", ["verify", "fuzz", "fixed-points"])
+def test_commutant_commands_above_the_cap_exit_two(command, monkeypatch, capsys):
+    def no_decomposition(*args, **kwargs):
+        raise AssertionError("a commutator stack was decomposed above the cap")
+
+    monkeypatch.setattr(np.linalg, "qr", no_decomposition)
+    assert main([command, "--group", "Z25", "--count", "1"]) == 2
+    assert "capped at order 24" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harmop.groups import (
     GroupTableError,
@@ -49,6 +51,44 @@ def test_symmetric_3_against_permutation_oracle():
             assert perms[g.mul(i, j)] == composed
     assert not g.is_abelian
     assert any(g.mul(a, b) != g.mul(b, a) for a in range(6) for b in range(6))
+
+
+def test_dihedral_against_affine_map_oracle():
+    # index r is x -> x + r, index n + r is x -> -x + r on Z_n
+    n = 5
+    g = dihedral_group(n)
+    maps = [(1, r) for r in range(n)] + [(-1, r) for r in range(n)]
+    for i, (e1, r1) in enumerate(maps):
+        for j, (e2, r2) in enumerate(maps):
+            assert maps[g.mul(i, j)] == (e1 * e2, (e1 * r2 + r1) % n)
+
+
+def test_quaternion_against_hamilton_product_oracle():
+    units = {"1": (1, 0, 0, 0), "i": (0, 1, 0, 0), "j": (0, 0, 1, 0), "k": (0, 0, 0, 1)}
+
+    def quat(label):
+        sign = -1 if label.startswith("-") else 1
+        return np.array(units[label.lstrip("-")]) * sign
+
+    def hamilton(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2, a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2, a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    g = quaternion_group()
+    for a, p in enumerate(g.elements):
+        for b, q in enumerate(g.elements):
+            assert tuple(quat(g.elements[g.mul(a, b)])) == hamilton(quat(p), quat(q))
+
+
+def test_symmetric_4_against_permutation_oracle():
+    g = symmetric_group(4)
+    perms = sorted(itertools.permutations(range(4)))
+    assert g.elements == ["".join(map(str, p)) for p in perms]
+    for i, p in enumerate(perms):
+        for j, q in enumerate(perms):
+            assert perms[g.mul(i, j)] == tuple(p[q[k]] for k in range(4))
 
 
 def test_klein_four_self_inverse():
@@ -162,7 +202,13 @@ def test_parse_rejects_nonassociative_latin_square():
 
 def test_parse_rejects_broken_latin_square():
     table = [[0, 0], [1, 1]]
-    with pytest.raises(GroupTableError, match="permutation"):
+    with pytest.raises(GroupTableError, match="^row 0 is not a permutation$"):
+        parse_group({"name": "x", "order": 2, "elements": ["e", "a"], "table": table})
+
+
+def test_parse_rejects_table_whose_columns_alone_fail():
+    table = [[0, 1], [0, 1]]
+    with pytest.raises(GroupTableError, match="^column 0 is not a permutation$"):
         parse_group({"name": "x", "order": 2, "elements": ["e", "a"], "table": table})
 
 
@@ -208,6 +254,19 @@ def test_subgroup_validation():
         Subgroup(g, (0, 2))  # not closed: 2+2=4 missing
 
 
+def test_subgroup_error_messages():
+    g = cyclic_group(6)
+    with pytest.raises(GroupTableError, match="misses the identity"):
+        Subgroup(g, (2, 4))
+    with pytest.raises(GroupTableError, match=r"^subgroup not closed under inverse at 2$"):
+        Subgroup(g, (3, 0, 2))
+    with pytest.raises(GroupTableError, match=r"^subgroup not closed under product at \(1, 1\)$"):
+        Subgroup(g, (5, 0, 1))
+    sub = Subgroup(g, (4, 0, 2, 2))
+    assert sub.members == (0, 2, 4)
+    assert 4 in sub and 3 not in sub
+
+
 def test_all_subgroups_s3():
     subs = all_subgroups(symmetric_group(3))
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 3, 6]
@@ -216,6 +275,52 @@ def test_all_subgroups_s3():
 def test_all_subgroups_q8():
     subs = all_subgroups(quaternion_group())
     assert sorted(len(s) for s in subs) == [1, 2, 4, 4, 4, 8]
+
+
+def test_all_subgroups_at_order_60_and_120():
+    # D_m has tau(m) + sigma(m) subgroups; S5 has 156
+    assert len(all_subgroups(dihedral_group(30))) == 8 + 72
+    subs = all_subgroups(symmetric_group(5))
+    assert len(subs) == 156
+    assert sorted({len(s) for s in subs}) == [1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24, 60, 120]
+
+
+RELABEL_NAMES = ["Z2", "Z6", "Z2xZ4", "Z3xZ3", "Z2xZ6", "S3", "D4", "Q8", "D6", "S4"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(RELABEL_NAMES), seed=st.integers(0, 2 ** 32 - 1))
+def test_results_map_over_a_random_relabeling(name, seed):
+    g = builtin_group(name)
+    n = g.order
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(n)  # old -> new, with the identity moved off index 0
+    if perm[0] == 0:
+        perm = np.roll(perm, 1)
+    old = np.argsort(perm)
+    doc = {"name": "relabeled", "order": n, "elements": [g.elements[i] for i in old],
+           "table": perm[g.table[np.ix_(old, old)]].tolist()}
+    h = parse_group(doc)
+    assert h.elements[0] == g.elements[0]
+    to_h = np.array([h.elements.index(label) for label in g.elements])
+
+    def mapped(members):
+        return tuple(sorted(int(x) for x in to_h[list(members)]))
+
+    subgroups = sorted(s.members for s in all_subgroups(h))
+    assert sorted(mapped(s) for s in all_subgroups(g)) == subgroups
+    gens = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
+    assert mapped(generated_subgroup(g, gens)) == generated_subgroup(h, to_h[gens]).members
+    assert h.exponent() == g.exponent()
+    orders = [g.element_order(a) for a in range(n)]
+    assert [h.element_order(int(to_h[a])) for a in range(n)] == orders
+    if g.is_abelian:
+        moved = set()
+        for c in characters(g):
+            values = np.empty(n, dtype=complex)
+            values[to_h] = c.values
+            moved.add(values.tobytes())
+        assert moved == {c.values.tobytes() for c in characters(h)}
 
 
 def test_cosets():

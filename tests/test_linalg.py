@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import harmop
+import harmop.actions
 import harmop.linalg as linalg
 from harmop.groups import cyclic_group, symmetric_group
 from harmop.actions import left_regular
 from harmop.linalg import (
     DEFAULT_TOL,
     LinAlgContractError,
+    SizeCapError,
     Subspace,
     Tolerances,
     commutant,
@@ -329,3 +332,19 @@ def test_psd_factorize_random_general():
     pairs = psd_factorize(k)
     recon = sum(np.outer(u, v) for u, v in pairs)
     assert np.abs(recon - k).max() <= DEFAULT_TOL.entry_tol * max(1.0, np.abs(k).max())
+
+
+def test_commutant_cap_is_checked_before_the_stack_is_built(monkeypatch):
+    assert harmop.SizeCapError is harmop.actions.SizeCapError is SizeCapError
+
+    big = np.eye(25)
+
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("commutant allocated above the cap")
+
+    monkeypatch.setattr(np, "zeros", no_alloc)
+    monkeypatch.setattr(np, "eye", no_alloc)
+    with pytest.raises(SizeCapError, match="capped at order 24, got 25"):
+        commutant([big])
+    with pytest.raises(SizeCapError):
+        commutant([], 25)

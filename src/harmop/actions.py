@@ -85,18 +85,17 @@ def schur_mask(sigma: GroupFunction) -> np.ndarray:
 
 
 class Superoperator:
-    """A linear map on the n x n matrices, in one of three forms.
+    """A linear map on the n x n matrices, in one of two forms.
 
     schur:    T -> mask * T (entrywise)
     conj_sum: T -> sum_i weights[i] rho(elements[i]) T rho(elements[i])^-1
-    dense:    vec(out) = matrix @ vec(T), row-major vec
 
     Conjugation by rho(x) relabels entries, (rho(x) T rho(x)^-1)[a, b] =
     T[a x, b x], so a conjugation sum holds the index rows a -> a x.
     """
 
     def __init__(self, group: GroupTable, kind: str, *, mask=None,
-                 weights=None, elements=None, matrix=None):
+                 weights=None, elements=None):
         self.group = group
         self.kind = kind
         n = group.order
@@ -110,10 +109,6 @@ class Superoperator:
             if len(self.weights) != len(self.elements):
                 raise ValueError("weights and elements differ in length")
             self._perms = group.table[:, list(self.elements)].T
-        elif kind == "dense":
-            self.matrix = np.asarray(matrix, dtype=complex)
-            if self.matrix.shape != (n * n, n * n):
-                raise ValueError("dense superoperator size mismatch")
         else:
             raise ValueError(f"unknown superoperator kind {kind!r}")
         self._dense: np.ndarray | None = None
@@ -128,30 +123,26 @@ class Superoperator:
             raise ValueError(f"operator shape {t_mat.shape} does not match group order {n}")
         if self.kind == "schur":
             return self.mask * t_mat
-        if self.kind == "conj_sum":
-            out = np.zeros((n, n), dtype=complex)
-            for w, p in zip(self.weights, self._perms):
-                out += w * t_mat[np.ix_(p, p)]
-            return out
-        return (self.matrix @ t_mat.reshape(-1)).reshape(n, n)
+        out = np.zeros((n, n), dtype=complex)
+        for w, p in zip(self.weights, self._perms):
+            out += w * t_mat[np.ix_(p, p)]
+        return out
 
     def dense(self) -> np.ndarray:
         if self._dense is None:
             n = self.group.order
-            if self.kind != "dense" and n > SUPEROP_CAP:
+            if n > SUPEROP_CAP:
                 raise SizeCapError(
                     f"dense superoperators are capped at order {SUPEROP_CAP}, got {n}"
                 )
             if self.kind == "schur":
                 self._dense = np.diag(self.mask.reshape(-1))
-            elif self.kind == "conj_sum":
+            else:
                 acc = np.zeros((n * n, n * n), dtype=complex)
                 rows = np.arange(n * n)
                 for w, p in zip(self.weights, self._perms):
                     acc[rows, (n * p[:, None] + p[None, :]).ravel()] += w
                 self._dense = acc
-            else:
-                self._dense = self.matrix
         return self._dense
 
     def pre_adjoint(self) -> "Superoperator":
@@ -161,11 +152,8 @@ class Superoperator:
         g = self.group
         if self.kind == "schur":
             return Superoperator(g, "schur", mask=self.mask.T)
-        if self.kind == "conj_sum":
-            return Superoperator(g, "conj_sum", weights=self.weights,
-                                 elements=g.inverse[list(self.elements)])
-        s = transpose_index(g.order)
-        return Superoperator(g, "dense", matrix=self.matrix.T[np.ix_(s, s)])
+        return Superoperator(g, "conj_sum", weights=self.weights,
+                             elements=g.inverse[list(self.elements)])
 
 
 def theta(mu: Measure) -> Superoperator:

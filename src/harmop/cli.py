@@ -302,14 +302,7 @@ def _suite_ideals(group: GroupTable, sigmas, mus, tol: Tolerances) -> list[Check
                       "traceless elements, predual-product closure, and the diagonal "
                       "quotient product all hold",
             passed=report.passed,
-            metric=max(
-                report.orthogonality_residual,
-                report.ideal_in_perp_residual or 0.0,
-                report.perp_in_traceless_residual,
-                report.ideal_closure_residual,
-                report.perp_closure_residual,
-                report.quotient_formula_residual,
-            ),
+            metric=report.worst_residual,
             tolerance=tol.eq_tol,
         ))
         if in_p1(sigma, tol):
@@ -358,14 +351,14 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances, max_n: int,
             ))
         except ConvergenceError as exc:
             checks.append(failed(f"limit-product/{name}/constants", statement, exc))
-        statement = "the operator-mode ergodic product of harmonic factors is harmonic"
+        statement = ("the operator-mode ergodic product of two translation combinations, "
+                     "which every Theta(mu) fixes, is their plain product")
         try:
             s_mat = random_translation_combination(group, rng)
             t_mat = random_translation_combination(group, rng)
             result = limit_product("operator", s_mat, t_mat, mu,
                                    max_n=max_n, stop_tol=tol.eq_tol, tol=tol)
-            back = theta(mu).apply(result.value)
-            metric = float(np.abs(back - result.value).max())
+            metric = float(np.abs(result.value - s_mat @ t_mat).max())
             checks.append(CheckRecord(
                 name=f"limit-product/{name}/operator_mode", statement=statement,
                 passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
@@ -503,11 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command, group=args.group, sigma=args.sigma, mu=args.mu,
-        count=args.count, tol=args.tol, seed=args.seed, format=args.format,
-        max_n=args.max_n,
-    )
+    config = RunConfig(**vars(args))
     try:
         report = run(config)
     except (LinAlgContractError, ToleranceMisconfiguration) as exc:

@@ -55,9 +55,8 @@ def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
     n = group.order
     disp = displacement_table(group)
     # column x of the map: the part of T sitting on displacement x
-    columns = np.stack(
-        [np.where(disp == x, t_mat, 0.0).reshape(-1) for x in range(n)], axis=1
-    )
+    columns = np.zeros((n * n, n), dtype=complex)
+    columns[np.arange(n * n), disp.ravel()] = t_mat.ravel()
     ideal = null_space(columns, tol)
     # ideal property: multiplying a basis element by any function stays
     # inside; the point masses suffice by bilinearity, and the product of

@@ -20,6 +20,7 @@ from harmop.actions import (
     bullet_via_comultiplication,
     coassociativity_defect,
     comultiplication,
+    displacement_table,
     dual_unitary,
     flip_unitary,
     fundamental_unitary,
@@ -283,11 +284,12 @@ def test_representations_agree_on_matrix_units():
     sigma = _rand_fn(Z4, rng)
     mu = Measure(Z4, rng.random(4))
     for phi in (theta_hat(sigma), theta(mu)):
-        dense = Superoperator(Z4, "dense", matrix=phi.dense())
+        dense = phi.dense()
         for a in range(4):
             for b in range(4):
                 unit = _unit(Z4, a, b)
-                assert np.abs(phi.apply(unit) - dense.apply(unit)).max() < 1e-12
+                expected = (dense @ unit.reshape(-1)).reshape(4, 4)
+                assert np.abs(phi.apply(unit) - expected).max() < 1e-12
 
 
 def test_conj_sum_matches_explicit_conjugation_on_nonabelian_group():
@@ -307,11 +309,14 @@ def test_transpose_index_and_dense_pre_adjoint():
     rng = np.random.default_rng(20)
     x = _rand(S3, rng)
     assert np.array_equal(x.reshape(-1)[transpose_index(6)], x.T.reshape(-1))
-    matrix = rng.standard_normal((36, 36))
     swap = np.eye(36)[transpose_index(6)]
-    star = Superoperator(S3, "dense", matrix=matrix).pre_adjoint()
-    assert np.array_equal(star.matrix, swap @ matrix.T @ swap)
+    mu = Measure(S3, rng.random(6) + 1j * rng.random(6))
+    for phi in (theta_hat(_rand_fn(S3, rng)), theta(mu)):
+        # the pre-adjoint for the trace pairing is the transpose conjugated by the swap
+        assert np.array_equal(phi.pre_adjoint().dense(), swap @ phi.dense().T @ swap)
     assert np.array_equal(flip_unitary(S3), swap)
+    with pytest.raises(ValueError):
+        Superoperator(S3, "dense")
 
 
 def test_pre_adjoint_of_identity():
@@ -333,12 +338,7 @@ def test_pre_adjoint_duality_all_kinds():
     rng = np.random.default_rng(17)
     sigma = _rand_fn(S3, rng)
     mu = Measure(S3, rng.random(6) + 1j * rng.random(6))
-    maps = [
-        theta_hat(sigma),
-        theta(mu),
-        Superoperator(S3, "dense", matrix=rng.standard_normal((36, 36))),
-    ]
-    for phi in maps:
+    for phi in (theta_hat(sigma), theta(mu)):
         star = phi.pre_adjoint()
         for _ in range(100):
             t_mat, omega = _rand(S3, rng), _rand(S3, rng)
@@ -350,12 +350,13 @@ def test_pre_adjoint_duality_all_kinds():
 def test_pre_adjoint_consistent_across_representations():
     rng = np.random.default_rng(18)
     sigma = _rand_fn(Z4, rng)
-    phi = theta_hat(sigma)
-    as_dense = Superoperator(Z4, "dense", matrix=phi.dense())
+    mu = Measure(Z4, rng.random(4))
+    swap = np.eye(16)[transpose_index(4)]
     t_mat = _rand(Z4, rng)
-    assert np.abs(
-        phi.pre_adjoint().apply(t_mat) - as_dense.pre_adjoint().apply(t_mat)
-    ).max() < 1e-12
+    for phi in (theta_hat(sigma), theta(mu)):
+        star_dense = swap @ phi.dense().T @ swap
+        expected = (star_dense @ t_mat.reshape(-1)).reshape(4, 4)
+        assert np.abs(phi.pre_adjoint().apply(t_mat) - expected).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +473,17 @@ def test_bullet_pi_multiplicative():
         lhs = pi_quotient(Z4, bullet(Z4, a, b)).values
         rhs = pi_quotient(Z4, a).values * pi_quotient(Z4, b).values
         assert np.abs(lhs - rhs).max() < 1e-12
+
+
+def test_pi_and_bullet_act_on_displacement_stripes():
+    # pi(omega)(x) sums omega over S_{x^-1}; omega . rho scales stripe x of
+    # rho by the sum of omega over S_x
+    rng = np.random.default_rng(26)
+    disp = displacement_table(S3)
+    omega, rho = _rand(S3, rng), _rand(S3, rng)
+    sums = np.array([omega[disp == x].sum() for x in range(6)])
+    assert np.abs(pi_quotient(S3, omega).values - sums[S3.inverse]).max() < 1e-12
+    assert np.abs(bullet(S3, omega, rho) - sums[disp] * rho).max() < 1e-12
 
 
 def test_bullet_on_diagonals():

@@ -133,6 +133,29 @@ def test_failed_check_gives_exit_one(capsys):
     assert data["summary"]["failed"] > 0
 
 
+def test_ideals_run_at_the_doubled_space_cap(capsys):
+    # order 24 is SUPEROP_CAP; the predual-closure checks see 576-dim spaces
+    assert main(["ideals", "--group", "S4", "--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
+def test_wrong_operator_limit_product_fails(monkeypatch, capsys):
+    import harmop.cli as cli
+
+    original = cli.limit_product
+
+    def reversed_product(mode, a, b, *args, **kwargs):
+        # t @ s differs from s @ t for translation combinations on S3
+        return original(mode, b, a, *args, **kwargs) if mode == "operator" \
+            else original(mode, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "limit_product", reversed_product)
+    assert main(["limit-product", "--group", "S3", "--count", "1"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert failed == ["limit-product/adapted0/operator_mode"]
+
+
 def test_check_record_fields():
     report = run(RunConfig(command="verify", group="Z4", count=1))
     for check in report.checks:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from harmop.groups import all_subgroups, cyclic_group, generated_subgroup, symmetric_group
+from harmop.groups import (
+    all_subgroups,
+    builtin_group,
+    cyclic_group,
+    generated_subgroup,
+    symmetric_group,
+)
 from harmop.functions import (
     GroupFunction,
     Measure,
@@ -22,7 +28,9 @@ from harmop.linalg import (
 from harmop.actions import (
     Superoperator,
     left_regular,
+    pi_quotient,
     right_regular,
+    schur_mask,
     theta,
     theta_hat,
     trace_pairing,
@@ -30,6 +38,7 @@ from harmop.actions import (
 )
 from harmop.harmonic import (
     ConvergenceError,
+    bullet_closure_residual,
     fixed_points,
     harmonic_functionals,
     harmonic_functions,
@@ -317,6 +326,65 @@ def test_ideal_suite_nonunital_sigma_skips_chain():
     report = linfty_perp_suite(sigma)
     assert not report.sigma_at_identity_is_one
     assert report.ideal_in_perp_residual is None
+    assert report.worst_residual == max(
+        report.orthogonality_residual, report.perp_in_traceless_residual,
+        report.ideal_closure_residual, report.perp_closure_residual,
+        report.quotient_formula_residual,
+    )
+
+
+def _closure_residual_by_products(group, ideal):
+    """Oracle for bullet_closure_residual: stack every product of a point-mass
+    mask with a basis element, project, and loop over the basis for the
+    products with matrix units on the right."""
+    n = group.order
+    proj = ideal.projector
+    mats = [ideal.basis[:, k].reshape(n, n) for k in range(ideal.dim)]
+    residual = 0.0
+    products = []
+    for z in range(n):
+        mask_t = schur_mask(delta_function(group, z)).T
+        products.extend((mask_t * mat).reshape(-1) for mat in mats)
+    if products:
+        stack = np.stack(products, axis=1)
+        residual = float(np.linalg.norm(stack - proj @ stack, axis=0).max())
+    unit_defect = np.linalg.norm(np.eye(n * n) - proj, axis=0)
+    for mat in mats:
+        scale = np.abs(schur_mask(pi_quotient(group, mat)).T).reshape(-1)
+        residual = max(residual, float((scale * unit_defect).max()))
+    return residual
+
+
+def _tilted_diagonal(group, angle):
+    """The diagonal units, with E_00 turned by `angle` towards a unit on the
+    stripe of a non-identity element: not closed under the predual product."""
+    n = group.order
+    basis = _diag_span(n).basis.copy()
+    basis[:, 0] = 0.0
+    basis[0, 0] = np.cos(angle)
+    basis[1, 0] = np.sin(angle)  # E_01 is off the diagonal: not on the stripe of e
+    return Subspace(n * n, basis)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D6", "S4"])
+def test_bullet_closure_residual_matches_the_product_oracle(name):
+    g = builtin_group(name)
+    n = g.order
+    rng = np.random.default_rng(n)
+    closed = [
+        pre_annihilator_ideal(theta_hat(random_positive_definite(g, rng))),
+        pre_annihilator_ideal(theta(random_adapted_measure(g, rng))),
+        Subspace(n * n, np.eye(n * n)[:, ~np.eye(n, dtype=bool).ravel()]),  # zero diagonal
+    ]
+    not_closed = [
+        Subspace.from_span(rng.standard_normal((3, n * n))),
+        Subspace.from_span(rng.standard_normal((n, n * n)) + 1j * rng.standard_normal((n, n * n))),
+        _tilted_diagonal(g, 1e-3),
+    ]
+    residuals = [bullet_closure_residual(g, s) for s in closed + not_closed]
+    oracle = [_closure_residual_by_products(g, s) for s in closed + not_closed]
+    assert np.abs(np.subtract(residuals, oracle)).max() <= 1e-12
+    assert max(residuals[:3]) <= DEFAULT_TOL.eq_tol < min(residuals[3:])
 
 
 def test_invariant_algebra_trivial_subgroup():

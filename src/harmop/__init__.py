@@ -80,11 +80,9 @@ from .actions import (
 )
 from .support import SupportSet, annihilator_ideal, operator_support
 from .harmonic import (
-    ConvergenceError,
     HarmonicReport,
     IdealSuiteReport,
     InvariantAlgebraReport,
-    LimitResult,
     fixed_points,
     harmonic_functionals,
     harmonic_functions,

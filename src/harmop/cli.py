@@ -1,7 +1,7 @@
 """Batch driver: load inputs, run verification suites, emit reports.
 
-Exit codes: 0 all checks passed, 1 at least one check failed or did not
-converge or a numerical contract broke, 2 usage or input error.
+Exit codes: 0 all checks passed, 1 at least one check failed or a numerical
+contract broke, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .linalg import LinAlgContractError, Tolerances, double_commutant, projector
 from .actions import left_regular, mult_op, theta, theta_hat
 from .support import annihilator_ideal, operator_support
 from .harmonic import (
-    ConvergenceError,
     HarmonicReport,
     fixed_points,
     harmonic_functions,
@@ -83,7 +82,6 @@ class RunConfig:
     tol: float = 1e-8
     seed: int = 0
     format: str = "json"
-    max_n: int = 10_000
 
     def tolerances(self) -> Tolerances:
         return Tolerances(eq_tol=self.tol)
@@ -328,60 +326,42 @@ def _suite_ideals(group: GroupTable, sigmas, mus, tol: Tolerances) -> list[Check
     return checks
 
 
-def _suite_limit_product(group: GroupTable, mus, tol: Tolerances, max_n: int,
+def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
                          rng: np.random.Generator) -> list[CheckRecord]:
     checks = []
-
-    def failed(name: str, statement: str, exc: ConvergenceError) -> CheckRecord:
-        return CheckRecord(name=name, statement=statement, passed=False,
-                           metric=exc.residual, tolerance=tol.eq_tol)
-
     for name, mu in mus:
-        statement = "the ergodic product of constant functions is the product of the constants"
-        try:
-            c, d = rng.standard_normal(2)
-            result = limit_product(
-                "function", constant_function(group, c), constant_function(group, d),
-                mu, max_n=max_n, stop_tol=tol.eq_tol, tol=tol,
-            )
-            metric = float(np.abs(result.value.values - c * d).max())
-            checks.append(CheckRecord(
-                name=f"limit-product/{name}/constants", statement=statement,
-                passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
-            ))
-        except ConvergenceError as exc:
-            checks.append(failed(f"limit-product/{name}/constants", statement, exc))
-        statement = ("the operator-mode ergodic product of two translation combinations, "
-                     "which every Theta(mu) fixes, is their plain product")
-        try:
-            s_mat = random_translation_combination(group, rng)
-            t_mat = random_translation_combination(group, rng)
-            result = limit_product("operator", s_mat, t_mat, mu,
-                                   max_n=max_n, stop_tol=tol.eq_tol, tol=tol)
-            metric = float(np.abs(result.value - s_mat @ t_mat).max())
-            checks.append(CheckRecord(
-                name=f"limit-product/{name}/operator_mode", statement=statement,
-                passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
-            ))
-        except ConvergenceError as exc:
-            checks.append(failed(f"limit-product/{name}/operator_mode", statement, exc))
-    statement = "one averaging step under the uniform measure sends f*g to its mean"
-    try:
-        f = GroupFunction(group, rng.standard_normal(group.order))
-        g_fn = GroupFunction(group, rng.standard_normal(group.order))
-        # random f, g on purpose: the uniform measure's harmonic functions are constants
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", r".* factor is not harmonic", UserWarning)
-            result = limit_product("function", f, g_fn, uniform_measure(group),
-                                   max_n=max_n, stop_tol=tol.eq_tol, tol=tol)
-        mean = np.mean(f.values * g_fn.values)
-        metric = float(np.abs(result.value.values - mean).max())
+        c, d = rng.standard_normal(2)
+        limit = limit_product("function", constant_function(group, c),
+                              constant_function(group, d), mu, tol)
+        metric = float(np.abs(limit.values - c * d).max())
         checks.append(CheckRecord(
-            name="limit-product/uniform/mean", statement=statement,
+            name=f"limit-product/{name}/constants",
+            statement="the ergodic limit of the product of two constant functions is "
+                      "the product of the constants",
             passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
         ))
-    except ConvergenceError as exc:
-        checks.append(failed("limit-product/uniform/mean", statement, exc))
+        s_mat = random_translation_combination(group, rng)
+        t_mat = random_translation_combination(group, rng)
+        metric = float(np.abs(limit_product("operator", s_mat, t_mat, mu, tol)
+                              - s_mat @ t_mat).max())
+        checks.append(CheckRecord(
+            name=f"limit-product/{name}/operator_mode",
+            statement="the operator-mode ergodic limit of the product of two translation "
+                      "combinations, which every Theta(mu) fixes, is their plain product",
+            passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
+        ))
+    f = GroupFunction(group, rng.standard_normal(group.order))
+    g_fn = GroupFunction(group, rng.standard_normal(group.order))
+    # random f, g on purpose: the uniform measure's harmonic functions are constants
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r".* factor is not harmonic", UserWarning)
+        limit = limit_product("function", f, g_fn, uniform_measure(group), tol)
+    metric = float(np.abs(limit.values - np.mean(f.values * g_fn.values)).max())
+    checks.append(CheckRecord(
+        name="limit-product/uniform/mean",
+        statement="the ergodic limit under the uniform measure is the mean of f*g",
+        passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
+    ))
     return checks
 
 
@@ -421,7 +401,7 @@ def run(config: RunConfig) -> Report:
         checks = _suite_ideals(group, sigmas, mus, tol)
     elif config.command == "limit-product":
         mus = _resolve_mus(config.mu, group, config.count, rng)
-        checks = _suite_limit_product(group, mus, tol, config.max_n, rng)
+        checks = _suite_limit_product(group, mus, tol, rng)
     elif config.command == "fuzz":
         sigmas = _resolve_sigmas("gen:nonpd", group, config.count, rng, tol)
         checks = _suite_fuzz(group, sigmas, tol)
@@ -489,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="equality tolerance echoed in every record")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=("json", "markdown"), default="json")
-    parser.add_argument("--max-n", type=int, default=10_000, dest="max_n")
     return parser
 
 

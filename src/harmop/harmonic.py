@@ -4,19 +4,19 @@ ideal suite in the trace-class predual."""
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import GroupTable, Subgroup
+from .groups import GroupTable, Subgroup, generated_subgroup
 from .functions import (
     GroupFunction,
     Measure,
     convolution_matrix,
     in_p1,
     level_set_one,
+    same_group,
 )
 from .linalg import (
     DEFAULT_TOL,
@@ -33,17 +33,10 @@ from .actions import (
     bullet,
     displacement_table,
     left_regular,
-    theta,
     theta_hat,
     trace_pairing,
     transpose_index,
 )
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 def _map_scale(mat: np.ndarray) -> float:
@@ -198,56 +191,59 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 # limit products
 
-@dataclass(frozen=True)
-class LimitResult:
-    value: object
-    steps: int
-    residual: float
+def limit_product(mode: str, a, b, mu: Measure,
+                  tol: Tolerances = DEFAULT_TOL) -> GroupFunction | np.ndarray:
+    """Ergodic product of two harmonic elements: the limit of the Cesaro
+    averages of the n-th power of the action of mu on the plain product.
 
+    convolution_matrix(mu) is doubly stochastic, so by the mean ergodic
+    theorem these averages converge to the orthogonal projection onto its
+    fixed points, the functions constant on the left cosets xH of the
+    subgroup H that supp mu generates.  The limit is that coset average,
+    taken exactly, periodic walks included.
 
-def limit_product(mode: str, a, b, mu: Measure, max_n: int = 10_000,
-                  stop_tol: float = 1e-8, tol: Tolerances = DEFAULT_TOL) -> LimitResult:
-    """Ergodic product of two harmonic elements.
-
-    Averages the sequence s_n = (n-th convolution power of mu) acting on the
-    plain product of a and b, in the Cesaro sense, and stops once successive
-    averages differ by at most stop_tol in max norm.  Plain limits can fail
-    for periodic walks; Cesaro averages cannot on a finite group.
-
-    mode="function": a, b are functions, s_n = convolve(mu^n, a*b).
-    mode="operator": a, b are operators, s_n = Theta(mu)^n (a @ b).
+    mode="function": a, b are functions; returns the coset average of a*b.
+    mode="operator": a, b are operators.  Theta(mu) acts on the stripe row
+    b -> T[x b, b] of each x as convolution by mu, so the limit of
+    Theta(mu)^n (a @ b) is the coset average of every stripe row of a @ b.
     """
     if not mu.is_probability(tol):
         raise ValueError("limit products are defined for probability measures")
+    g = mu.group
+    cosets = np.array(generated_subgroup(g, mu.support(tol)).left_cosets())
+
+    def average(values: np.ndarray) -> np.ndarray:
+        out = np.empty_like(values)
+        out[..., cosets] = values[..., cosets].mean(axis=-1, keepdims=True)
+        return out
+
     if mode == "function":
         if not (isinstance(a, GroupFunction) and isinstance(b, GroupFunction)):
             raise ValueError("function mode expects GroupFunction inputs")
-        advance = functools.partial(np.matmul, convolution_matrix(mu))
+        if not (same_group(a.group, g) and same_group(b.group, g)):
+            raise ValueError("functions and measure live on different groups")
+        project = average
         factors = (a.values, b.values)
         product = a.values * b.values
     elif mode == "operator":
-        advance = theta(mu).apply
+        stripes = (g.table, np.arange(g.order))  # T[stripes][x, b] = T[x b, b]
+
+        def project(t_mat: np.ndarray) -> np.ndarray:
+            out = np.empty_like(t_mat)
+            out[stripes] = average(t_mat[stripes])
+            return out
+
         factors = (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        if any(f.shape != (g.order, g.order) for f in factors):
+            raise ValueError(f"operator shapes do not match group order {g.order}")
         product = factors[0] @ factors[1]
     else:
         raise ValueError(f"mode must be 'function' or 'operator', got {mode!r}")
     for name, f in zip(("first", "second"), factors):
-        if np.abs(advance(f) - f).max() > tol.eq_tol:
+        if np.abs(project(f) - f).max() > tol.eq_tol:
             warnings.warn(f"{name} factor is not harmonic for this measure")
-    state = advance(product)
-    average = state.copy()
-    residual = float("inf")
-    for n in range(2, max_n + 1):
-        state = advance(state)
-        step = (state - average) / n
-        average = average + step
-        residual = float(np.abs(step).max())
-        if residual <= stop_tol:
-            value = GroupFunction(mu.group, average) if mode == "function" else average
-            return LimitResult(value, n, residual)
-    raise ConvergenceError(
-        f"no convergence within {max_n} steps (residual {residual:.3e})", residual
-    )
+    limit = project(product)
+    return GroupFunction(g, limit) if mode == "function" else limit
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion lines.
 
 import itertools
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from harmop.functions import (
     Measure,
     check_adaptedness_equivalence,
     constant_function,
+    convolve,
     delta_function,
     indicator_function,
     is_adapted_measure,
@@ -291,22 +293,26 @@ def test_criterion_08_ideal_suite():
 def test_criterion_09_limit_products():
     rng = np.random.default_rng(109)
     for group in MAIN_GROUPS:
-        for _ in range(10):
-            mu = random_adapted_measure(group, rng)
-            c, d = rng.standard_normal(2)
-            result = limit_product(
-                "function", constant_function(group, c), constant_function(group, d),
-                mu, max_n=10_000, stop_tol=1e-8,
-            )
-            assert result.residual <= 1e-8
-            assert np.abs(result.value.values - c * d).max() <= 1e-8, group.name
-            s_mat = random_translation_combination(group, rng)
-            t_mat = random_translation_combination(group, rng)
-            result = limit_product("operator", s_mat, t_mat, mu,
-                                   max_n=10_000, stop_tol=1e-8)
-            assert result.residual <= 1e-8
-            back = theta(mu).apply(result.value)
-            assert np.abs(back - result.value).max() <= 1e-8, group.name
+        n = group.order
+        for make_measure in (random_adapted_measure, random_nonadapted_measure):
+            for _ in range(10):
+                mu = make_measure(group, rng)
+                c, d = rng.standard_normal(2)
+                limit = limit_product("function", constant_function(group, c),
+                                      constant_function(group, d), mu)
+                assert np.abs(limit.values - c * d).max() <= 1e-10, group.name
+                s_mat = random_translation_combination(group, rng)
+                t_mat = random_translation_combination(group, rng)
+                limit = limit_product("operator", s_mat, t_mat, mu)
+                assert np.abs(theta(mu).apply(limit) - limit).max() <= 1e-10, group.name
+                assert np.abs(limit - s_mat @ t_mat).max() <= 1e-10, group.name
+                # a non-harmonic product still has a harmonic limit
+                f = GroupFunction(group, rng.standard_normal(n))
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "first factor is not harmonic")
+                    limit = limit_product("function", f, constant_function(group, c), mu)
+                assert np.abs(convolve(mu, limit).values - limit.values).max() <= 1e-10
+                assert abs(limit.values.sum() - c * f.values.sum()) <= 1e-10, group.name
     print("\nACCEPTANCE 9 (ergodic limit products): PASS")
 
 

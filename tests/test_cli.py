@@ -123,14 +123,11 @@ def test_support_runs_at_the_order_cap(capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
 
 
-def test_failed_check_gives_exit_one(capsys):
-    # with no averaging budget the stopping rule cannot trigger, so each
-    # limit-product check reports non-convergence and the run exits 1
-    code = main(["limit-product", "--group", "Z4", "--max-n", "1", "--count", "1"])
-    out = capsys.readouterr().out
-    assert code == 1
-    data = json.loads(out)
-    assert data["summary"]["failed"] > 0
+def test_max_n_is_a_usage_error():
+    # limits are exact, so there is no averaging budget to set
+    with pytest.raises(SystemExit) as err:
+        main(["limit-product", "--group", "Z4", "--max-n", "1"])
+    assert err.value.code == 2
 
 
 def test_ideals_run_at_the_doubled_space_cap(capsys):
@@ -151,9 +148,10 @@ def test_wrong_operator_limit_product_fails(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "limit_product", reversed_product)
     assert main(["limit-product", "--group", "S3", "--count", "1"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    failed = [c["name"] for c in checks if not c["passed"]]
+    data = json.loads(capsys.readouterr().out)
+    failed = [c["name"] for c in data["checks"] if not c["passed"]]
     assert failed == ["limit-product/adapted0/operator_mode"]
+    assert data["summary"]["failed"] == 1
 
 
 def test_check_record_fields():

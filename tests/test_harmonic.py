@@ -1,3 +1,6 @@
+import contextlib
+import functools
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from harmop.functions import (
     GroupFunction,
     Measure,
     constant_function,
+    convolution_matrix,
     delta_function,
     delta_measure,
     indicator_function,
@@ -28,6 +32,7 @@ from harmop.linalg import (
 from harmop.actions import (
     Superoperator,
     left_regular,
+    mult_op,
     pi_quotient,
     right_regular,
     schur_mask,
@@ -37,7 +42,6 @@ from harmop.actions import (
     transpose_index,
 )
 from harmop.harmonic import (
-    ConvergenceError,
     bullet_closure_residual,
     fixed_points,
     harmonic_functionals,
@@ -52,6 +56,8 @@ from harmop.harmonic import (
 )
 from harmop.generators import (
     random_adapted_measure,
+    random_nonadapted_measure,
+    random_operator,
     random_positive_definite,
     random_translation_combination,
     random_unit_at_identity,
@@ -221,30 +227,44 @@ def test_main_theorem_inclusion_mode_for_general_sigma():
 # ---------------------------------------------------------------------------
 # limit products
 
+def _cesaro_gaps(advance, product, limit, steps, window):
+    """The definitional ergodic limit, kept as an oracle: the Cesaro averages
+    (1/N) sum_{k=1..N} advance^k(product).  Returns their largest max-norm
+    distance to ``limit`` over N in [steps, steps + window) and over N in
+    [2 steps, 2 steps + window).  On a periodic walk the distance at N
+    depends on N modulo the period, so a window of at least one period
+    compares like with like."""
+    state, total, gaps = product, np.zeros_like(product), []
+    for k in range(1, 2 * steps + window):
+        state = advance(state)
+        total = total + state
+        gaps.append(float(np.abs(total / k - limit).max()))
+    return max(gaps[steps - 1:steps - 1 + window]), max(gaps[2 * steps - 1:])
+
+
 def test_limit_product_point_mass_is_plain_product():
     rng = np.random.default_rng(2)
     f = GroupFunction(Z4, rng.standard_normal(4))
     g_fn = GroupFunction(Z4, rng.standard_normal(4))
-    result = limit_product("function", f, g_fn, delta_measure(Z4, 0))
-    assert np.abs(result.value.values - f.values * g_fn.values).max() < 1e-12
+    limit = limit_product("function", f, g_fn, delta_measure(Z4, 0))
+    assert np.abs(limit.values - f.values * g_fn.values).max() < 1e-12
 
 
 def test_limit_product_constants():
     mu = Measure(Z4, [0, 0.5, 0, 0.5])
-    result = limit_product("function", constant_function(Z4, 2.5),
-                           constant_function(Z4, -1.5), mu)
-    assert np.abs(result.value.values - (-3.75)).max() < 1e-10
-    assert result.residual <= 1e-8
+    limit = limit_product("function", constant_function(Z4, 2.5),
+                          constant_function(Z4, -1.5), mu)
+    assert np.abs(limit.values - (-3.75)).max() < 1e-12
 
 
 def test_limit_product_uniform_mean():
     rng = np.random.default_rng(3)
     f = GroupFunction(S3, rng.standard_normal(6))
     g_fn = GroupFunction(S3, rng.standard_normal(6))
-    with pytest.warns(UserWarning):
-        result = limit_product("function", f, g_fn, uniform_measure(S3))
+    with pytest.warns(UserWarning, match="not harmonic"):
+        limit = limit_product("function", f, g_fn, uniform_measure(S3))
     mean = np.mean(f.values * g_fn.values)
-    assert np.abs(result.value.values - mean).max() < 1e-10
+    assert np.abs(limit.values - mean).max() < 1e-12
 
 
 def test_limit_product_operator_mode_stays_harmonic():
@@ -252,18 +272,75 @@ def test_limit_product_operator_mode_stays_harmonic():
     mu = random_adapted_measure(S3, rng)
     s_mat = random_translation_combination(S3, rng)
     t_mat = random_translation_combination(S3, rng)
-    result = limit_product("operator", s_mat, t_mat, mu)
+    limit = limit_product("operator", s_mat, t_mat, mu)
     action = theta(mu)
-    assert np.abs(action.apply(result.value) - result.value).max() <= 1e-8
+    assert np.abs(action.apply(limit) - limit).max() <= 1e-12
 
 
-def test_limit_product_nonconvergence_raises():
-    # periodic walk, non-harmonic input: the averages decay like 1/n only
-    with pytest.warns(UserWarning):
-        with pytest.raises(ConvergenceError) as err:
-            limit_product("function", delta_function(Z4, 0), delta_function(Z4, 0),
-                          delta_measure(Z4, 1), max_n=200)
-    assert err.value.residual > 0
+def test_limit_product_periodic_walks_converge_to_the_mean():
+    # mu = delta_1 on Z_n walks with period n: its convolution powers never settle,
+    # yet the Cesaro averages converge to the mean, and only like 1/N
+    rng = np.random.default_rng(6)
+    for n in (4, 6):
+        group = cyclic_group(n)
+        mu = delta_measure(group, 1)
+        f = GroupFunction(group, rng.standard_normal(n))
+        g_fn = GroupFunction(group, rng.standard_normal(n))
+        with pytest.warns(UserWarning, match="not harmonic"):
+            limit = limit_product("function", f, g_fn, mu)
+        product = f.values * g_fn.values
+        assert np.abs(limit.values - product.mean()).max() < 1e-12
+        early, late = _cesaro_gaps(functools.partial(np.matmul, convolution_matrix(mu)),
+                                   product, limit.values, 200, n)
+        assert 1e-6 < early and late <= 0.6 * early, (n, early, late)
+
+
+def _limit_measures(group, rng):
+    """An adapted measure, a measure inside a proper subgroup, and one on the
+    smallest subgroup whose left and right cosets differ, if there is one."""
+    mus = [random_adapted_measure(group, rng), random_nonadapted_measure(group, rng)]
+    skew = [s for s in all_subgroups(group) if s.left_cosets() != s.right_cosets()]
+    if skew:
+        weights = np.zeros(group.order)
+        weights[list(skew[0].members)] = rng.uniform(0.1, 1.0, size=len(skew[0]))
+        mus.append(Measure(group, weights / weights.sum()))
+    return mus
+
+
+@pytest.mark.parametrize("name", ["Z6", "S3", "D4", "Q8", "Z2xZ4", "S4"])
+def test_limit_product_agrees_with_independent_routes(name):
+    group = builtin_group(name)
+    n = group.order
+    rng = np.random.default_rng(7)
+    for mu in _limit_measures(group, rng):
+        f = GroupFunction(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        g_fn = GroupFunction(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        s_mat, t_mat = random_operator(group, rng), random_operator(group, rng)
+        # delta_e fixes everything, so only then are the factors harmonic
+        trivial = mu.support() == (group.identity,)
+        with contextlib.nullcontext() if trivial else pytest.warns(UserWarning,
+                                                                   match="not harmonic"):
+            limit = limit_product("function", f, g_fn, mu)
+            op_limit = limit_product("operator", s_mat, t_mat, mu)
+            diag_limit = limit_product("operator", mult_op(f), mult_op(g_fn), mu)
+        # function mode: the orthogonal projector onto the null space of C - I
+        projected = harmonic_functions(mu).projector @ (f.values * g_fn.values)
+        assert np.abs(limit.values - projected).max() <= 1e-12
+        # operator mode: a fixed point of Theta(mu), reached by its Cesaro averages
+        action = theta(mu)
+        assert np.abs(action.apply(op_limit) - op_limit).max() <= 1e-12
+        early, late = _cesaro_gaps(action.apply, s_mat @ t_mat, op_limit, 200, n)
+        assert early <= 1e-12 or late <= 0.6 * early, (mu.support(), early, late)
+        # on multiplication operators the two modes agree
+        assert np.abs(diag_limit - mult_op(limit)).max() <= 1e-12
+
+
+def test_limit_product_rejects_inputs_from_another_group():
+    mu = uniform_measure(Z4)
+    with pytest.raises(ValueError, match="different groups"):
+        limit_product("function", constant_function(S3), constant_function(S3), mu)
+    with pytest.raises(ValueError, match="group order 4"):
+        limit_product("operator", np.eye(6), np.eye(6), mu)
 
 
 def test_limit_product_requires_probability():

@@ -123,6 +123,23 @@ def test_support_runs_at_the_order_cap(capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
 
 
+def test_failed_check_gives_exit_one(monkeypatch, capsys):
+    import harmop.cli as cli
+    from harmop.functions import GroupFunction
+
+    def unaveraged_product(mode, a, b, *args, **kwargs):
+        # the product before any averaging: right for constants and for
+        # translation combinations, wrong for random f, g under the uniform measure
+        return a @ b if mode == "operator" else GroupFunction(a.group, a.values * b.values)
+
+    monkeypatch.setattr(cli, "limit_product", unaveraged_product)
+    code = main(["limit-product", "--group", "Z4", "--count", "1"])
+    out = capsys.readouterr().out
+    assert code == 1
+    data = json.loads(out)
+    assert data["summary"]["failed"] > 0
+
+
 def test_max_n_is_a_usage_error():
     # limits are exact, so there is no averaging budget to set
     with pytest.raises(SystemExit) as err:

@@ -282,43 +282,39 @@ def coassociativity_defect(group: GroupTable, t_mat: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # predual product, module actions, quotient map
 
+def _pi_gather(group: GroupTable, omega: np.ndarray) -> np.ndarray:
+    """pi over the last two axes: sum_b omega[..., b, x b] for each x."""
+    return omega[..., np.arange(group.order), group.table].sum(axis=-1)
+
+
 def pi_quotient(group: GroupTable, omega: np.ndarray) -> GroupFunction:
     """pi(omega)(x) = <lambda(x), omega> = Tr(lambda(x) omega); the quotient
     of a trace-class element onto a function on the group."""
-    omega = np.asarray(omega, dtype=complex)
-    n = group.order
-    cols = np.broadcast_to(np.arange(n), (n, n))
-    return GroupFunction(group, omega[cols, group.table].sum(axis=1))
+    return GroupFunction(group, _pi_gather(group, np.asarray(omega, dtype=complex)))
 
 
 def bullet(group: GroupTable, omega: np.ndarray, rho_mat: np.ndarray) -> np.ndarray:
     """The predual product: <omega . rho, T> = <omega tensor rho, Gamma(T)>.
 
     Closed form: omega . rho = theta_hat(pi(omega))_* (rho), i.e. the mask of
-    pi(omega) transposed, applied entrywise to rho.  Checked against the
-    direct Gamma contraction in bullet_via_comultiplication.
+    pi(omega) transposed, (a, b) -> pi(omega)(b a^-1), applied entrywise to
+    rho; broadcasts over leading stack axes of omega and rho.  Checked against
+    the direct Gamma contraction in bullet_via_comultiplication.
     """
-    omega = np.asarray(omega, dtype=complex)
-    rho_mat = np.asarray(rho_mat, dtype=complex)
-    mask = schur_mask(pi_quotient(group, omega))
-    return mask.T * rho_mat
+    pi = _pi_gather(group, np.asarray(omega, dtype=complex))
+    return pi[..., displacement_table(group).T] * np.asarray(rho_mat, dtype=complex)
 
 
 def bullet_via_comultiplication(group: GroupTable, omega: np.ndarray,
                                 rho_mat: np.ndarray) -> np.ndarray:
     """Definitional oracle for the predual product: contract Gamma(E_ab)
-    against omega tensor rho for every matrix unit."""
+    against omega tensor rho.  Gamma(E_ab) has a 1 at (P[c n + a], P[c n + b])
+    for every c, with P the W_hat index map, so out[b, a] is the sum over c
+    of pair[P[c n + b], P[c n + a]]."""
     _check_doubled_cap(group)
-    n = group.order
     pair = np.kron(np.asarray(omega, dtype=complex), np.asarray(rho_mat, dtype=complex))
-    out = np.empty((n, n), dtype=complex)
-    unit = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            unit[a, b] = 1.0
-            out[b, a] = trace_pairing(comultiplication(group, unit), pair)
-            unit[a, b] = 0.0
-    return out
+    perm = _pair_perm_w_hat(group).reshape(group.order, -1)
+    return pair[perm[:, :, None], perm[:, None, :]].sum(axis=0)
 
 
 def module_action(group: GroupTable, side: str, omega: np.ndarray,

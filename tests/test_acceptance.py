@@ -8,7 +8,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from harmop.groups import (
     all_subgroups,
@@ -26,7 +25,6 @@ from harmop.functions import (
     convolve,
     delta_function,
     indicator_function,
-    is_adapted_measure,
     level_set_one,
 )
 from harmop.linalg import (
@@ -45,7 +43,6 @@ from harmop.actions import (
     theta,
     theta_hat,
     theta_hat_sum_form,
-    trace_pairing,
 )
 from harmop.support import annihilator_ideal, operator_support
 from harmop.harmonic import (

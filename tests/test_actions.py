@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from harmop.groups import cyclic_group, dihedral_group, symmetric_group
+from harmop.groups import cyclic_group, dihedral_group, quaternion_group, symmetric_group
 from harmop.functions import (
     GroupFunction,
     Measure,
@@ -495,14 +495,43 @@ def test_bullet_on_diagonals():
     assert np.abs(out - expected).max() < 1e-12
 
 
+def _bullet_by_comultiplying_units(group, omega, rho):
+    """The contraction by definition: out[b, a] = <Gamma(E_ab), omega tensor
+    rho>, one comultiplication per matrix unit."""
+    n = group.order
+    pair = np.kron(omega, rho)
+    out = np.empty((n, n), dtype=complex)
+    unit = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        for b in range(n):
+            unit[a, b] = 1.0
+            out[b, a] = trace_pairing(comultiplication(group, unit), pair)
+            unit[a, b] = 0.0
+    return out
+
+
 def test_bullet_matches_comultiplication_contraction():
     rng = np.random.default_rng(24)
-    for g in (Z3, Z4, S3):
+    for g in (Z3, Z4, S3, D4, quaternion_group(), dihedral_group(6), symmetric_group(4)):
         for _ in range(3):
             omega, rho = _rand(g, rng), _rand(g, rng)
             fast = bullet(g, omega, rho)
             slow = bullet_via_comultiplication(g, omega, rho)
-            assert np.abs(fast - slow).max() < 1e-10
+            assert np.abs(fast - slow).max() < 1e-10, g.name
+            if g.order <= 8:
+                oracle = _bullet_by_comultiplying_units(g, omega, rho)
+                assert np.abs(slow - oracle).max() < 1e-12, g.name
+
+
+def test_bullet_broadcasts_over_stacks():
+    rng = np.random.default_rng(31)
+    omegas = np.stack([_rand(S3, rng) for _ in range(3)])
+    rhos = np.stack([_rand(S3, rng) for _ in range(2)])
+    stacked = bullet(S3, omegas[:, None], rhos[None, :])
+    assert stacked.shape == (3, 2, 6, 6)
+    for i, omega in enumerate(omegas):
+        for j, rho in enumerate(rhos):
+            assert np.abs(stacked[i, j] - bullet(S3, omega, rho)).max() < 1e-13
 
 
 def test_module_action_on_identity():

@@ -3,7 +3,6 @@ import pytest
 
 from harmop.groups import (
     Subgroup,
-    all_subgroups,
     characters,
     cyclic_group,
     direct_product,
@@ -13,7 +12,6 @@ from harmop.groups import (
 from harmop.functions import (
     GroupFunction,
     Measure,
-    ToleranceMisconfiguration,
     check_adaptedness_equivalence,
     constant_function,
     construct_adapted,

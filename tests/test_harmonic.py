@@ -29,8 +29,10 @@ from harmop.linalg import (
     subspace_contains,
     subspace_equal,
 )
+from harmop import actions, harmonic
 from harmop.actions import (
     Superoperator,
+    bullet,
     left_regular,
     mult_op,
     pi_quotient,
@@ -408,6 +410,92 @@ def test_ideal_suite_nonunital_sigma_skips_chain():
         report.ideal_closure_residual, report.perp_closure_residual,
         report.quotient_formula_residual,
     )
+
+
+def _suite_spaces(monkeypatch, sigma):
+    """Run the suite and capture the coordinate spans it builds, in the order
+    it builds them: the ideal, the fixed points, the zero-diagonal span."""
+    spans, original = [], harmonic._coordinate_span
+
+    def recording(mask):
+        spans.append(original(mask))
+        return spans[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonic, "_coordinate_span", recording)
+        report = linfty_perp_suite(sigma)
+    ideal, fixed, _ = spans
+    assert (report.dim_ideal, report.dim_fixed) == (ideal.dim, fixed.dim)
+    return report, fixed, ideal
+
+
+def _near_one_sigma(group, rng):
+    """A function with values 1 +- c/2 and 1 +- 2c at four non-identity
+    elements, c the suite's cutoff: the first two sit inside it, the last
+    two outside."""
+    values = random_unit_at_identity(group, rng).values.copy()
+    cut = DEFAULT_TOL.rank_tol * max(1.0, float(np.abs(values).max()))
+    others = [x for x in range(group.order) if x != group.identity][:4]
+    values[others] = [1 + cut / 2, 1 - 0.5j * cut, 1 + 2 * cut, 1 - 2j * cut]
+    return GroupFunction(group, values)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D6", "S4"])
+def test_suite_coordinate_spans_match_the_svd_routes(monkeypatch, name):
+    g = builtin_group(name)
+    n = g.order
+    rng = np.random.default_rng(40 + n)
+    sigmas = [random_positive_definite(g, rng), random_unit_at_identity(g, rng),
+              _near_one_sigma(g, rng)]
+    for k, sigma in enumerate(sigmas):
+        report, fixed, ideal = _suite_spaces(monkeypatch, sigma)
+        svd_fixed = fixed_points(theta_hat(sigma))
+        svd_ideal = pre_annihilator_ideal(theta_hat(sigma))
+        assert (fixed.dim, ideal.dim) == (svd_fixed.dim, svd_ideal.dim), (name, k)
+        assert projector_distance(fixed, svd_fixed) <= 1e-12, (name, k)
+        assert projector_distance(ideal, svd_ideal) <= 1e-12, (name, k)
+        assert report.passed, (name, k)
+    assert fixed.dim == 3 * n  # the identity and the two values within the cutoff
+
+
+def _quotient_residual_by_pairs(group):
+    """The per-pair form of the suite's quotient check: bullet(E_ff, E_gg)
+    against Tr(E_ff) E_gg, one bullet call per pair."""
+    n = group.order
+    units = harmonic._diagonal_units(n)
+    return max(
+        float(np.abs(bullet(group, f_mat, g_mat) - trace_pairing(np.eye(n), f_mat) * g_mat).max())
+        for f_mat in units for g_mat in units
+    )
+
+
+def test_suite_checks_fail_on_broken_pre_adjoint_and_quotient(monkeypatch):
+    rng = np.random.default_rng(41)
+    r = next(x for x in range(S3.order) if S3.inverse[x] != x)
+    sigma = random_unit_at_identity(S3, rng, level_set=[r])  # r^-1 is not in the level set
+    report = linfty_perp_suite(sigma)
+    assert report.passed and report.orthogonality_residual == 0.0
+    assert report.quotient_formula_residual == _quotient_residual_by_pairs(S3) == 0.0
+
+    def untransposed(self):
+        return Superoperator(self.group, "schur", mask=self.mask)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Superoperator, "pre_adjoint", untransposed)
+        broken = linfty_perp_suite(sigma)
+    assert not broken.passed
+    assert broken.orthogonality_residual == 1.0
+    assert broken.dim_ideal + broken.dim_fixed == broken.dim_traceless + 1
+
+    def pi_summed_over_x(group, omega):
+        return omega[..., np.arange(group.order), group.table].sum(axis=-2)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(actions, "_pi_gather", pi_summed_over_x)
+        broken = linfty_perp_suite(sigma)
+        per_pair = _quotient_residual_by_pairs(S3)
+    assert not broken.passed
+    assert broken.quotient_formula_residual == per_pair == 1.0
 
 
 def _closure_residual_by_products(group, ideal):

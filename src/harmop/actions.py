@@ -79,9 +79,13 @@ def displacement_table(group: GroupTable) -> np.ndarray:
     return group.table[:, group.inverse]
 
 
+def _mask_of(group: GroupTable, values: np.ndarray) -> np.ndarray:
+    return values[..., displacement_table(group)]
+
+
 def schur_mask(sigma: GroupFunction) -> np.ndarray:
     """m[a][b] = sigma(a b^-1)."""
-    return sigma.values[displacement_table(sigma.group)]
+    return _mask_of(sigma.group, sigma.values)
 
 
 class Superoperator:
@@ -288,29 +292,24 @@ def _pi_gather(group: GroupTable, omega: np.ndarray) -> np.ndarray:
 
 
 def pi_quotient(group: GroupTable, omega: np.ndarray) -> GroupFunction:
-    """pi(omega)(x) = <lambda(x), omega> = Tr(lambda(x) omega); the quotient
-    of a trace-class element onto a function on the group."""
+    """pi(omega)(x) = Tr(lambda(x) omega), the quotient onto functions on G."""
     return GroupFunction(group, _pi_gather(group, np.asarray(omega, dtype=complex)))
 
 
 def bullet(group: GroupTable, omega: np.ndarray, rho_mat: np.ndarray) -> np.ndarray:
     """The predual product: <omega . rho, T> = <omega tensor rho, Gamma(T)>.
 
-    Closed form: omega . rho = theta_hat(pi(omega))_* (rho), i.e. the mask of
-    pi(omega) transposed, (a, b) -> pi(omega)(b a^-1), applied entrywise to
-    rho; broadcasts over leading stack axes of omega and rho.  Checked against
-    the direct Gamma contraction in bullet_via_comultiplication.
-    """
-    pi = _pi_gather(group, np.asarray(omega, dtype=complex))
-    return pi[..., displacement_table(group).T] * np.asarray(rho_mat, dtype=complex)
+    Closed form: theta_hat(pi(omega))_*, the transposed mask of pi(omega),
+    applied entrywise to rho, over leading stack axes of omega and rho."""
+    mask = _mask_of(group, _pi_gather(group, np.asarray(omega, dtype=complex)))
+    return mask.swapaxes(-1, -2) * np.asarray(rho_mat, dtype=complex)
 
 
 def bullet_via_comultiplication(group: GroupTable, omega: np.ndarray,
                                 rho_mat: np.ndarray) -> np.ndarray:
-    """Definitional oracle for the predual product: contract Gamma(E_ab)
-    against omega tensor rho.  Gamma(E_ab) has a 1 at (P[c n + a], P[c n + b])
-    for every c, with P the W_hat index map, so out[b, a] is the sum over c
-    of pair[P[c n + b], P[c n + a]]."""
+    """Definitional oracle for bullet: contract Gamma(E_ab), which has a 1 at
+    (P[c n + a], P[c n + b]) for every c with P the W_hat index map, against
+    omega tensor rho, so out[b, a] = sum_c pair[P[c n + b], P[c n + a]]."""
     _check_doubled_cap(group)
     pair = np.kron(np.asarray(omega, dtype=complex), np.asarray(rho_mat, dtype=complex))
     perm = _pair_perm_w_hat(group).reshape(group.order, -1)

@@ -30,6 +30,7 @@ from .linalg import (
 )
 from .actions import (
     Superoperator,
+    _check_doubled_cap,
     bullet,
     displacement_table,
     left_regular,
@@ -315,8 +316,7 @@ class IdealSuiteReport:
 
     @property
     def passed(self) -> bool:
-        """On a Schur map the suite reads both spaces off the mask, so the
-        dimension complement holds by construction and cannot fail here."""
+        """The dimension complement holds by construction on a Schur mask; it cannot fail."""
         return (self.dim_ideal + self.dim_fixed == self.dim_traceless + 1
                 and self.worst_residual <= self.eq_tol)
 
@@ -329,13 +329,15 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     elements; verifies the inclusion chain when sigma(e) = 1, closure of both
     ideals under the predual product, orthogonality of the pre-annihilator
     against the fixed points, and the induced quotient product
-    f . g = <f, 1> g on diagonal representatives.  The action is diagonal over
-    the matrix units, so its fixed points and the range of its pre-adjoint
-    minus the identity are coordinate spans read off the two masks, at the
-    cutoff null_space and range_space give diag(mask) - id at _map_scale.
+    f . g = <f, 1> g on diagonal representatives.  The action is a Schur map,
+    so both spaces are coordinate spans read off its mask and its pre-adjoint's
+    at the cutoff _map_scale gives it.  Capped at SUPEROP_CAP; sigma finite.
     """
     g = sigma.group
     n = g.order
+    _check_doubled_cap(g)
+    if not np.all(np.isfinite(sigma.values)):
+        raise ValueError("matrix has non-finite entries")
     action = theta_hat(sigma)
     cut = tol.rank_tol * max(1.0, float(np.abs(action.mask).max()))
     ideal = _coordinate_span(np.abs(action.pre_adjoint().mask - 1.0) > cut)
@@ -348,10 +350,9 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     pi_i, pi_p, pi_t = ideal.projector, perp.projector, traceless.projector
     ideal_in_perp = float(np.linalg.norm(pi_i @ pi_p - pi_i)) if sigma_e else None
     perp_in_traceless = float(np.linalg.norm(pi_p @ pi_t - pi_p))
-    units = np.array(_diagonal_units(n))
-    # every product E_ff . E_gg against Tr(E_ff) E_gg, in one broadcast
-    quotient = float(np.abs(bullet(g, units[:, None], units[None, :])
-                            - np.trace(units, axis1=1, axis2=2)[:, None, None, None] * units).max())
+    units = np.array(_diagonal_units(n))  # E_ff . E_gg against Tr(E_ff) E_gg
+    traces = np.trace(units, axis1=1, axis2=2)[:, None, None, None]
+    quotient = float(np.abs(bullet(g, units[:, None], units[None, :]) - traces * units).max())
     return IdealSuiteReport(
         group_name=g.name,
         sigma_at_identity_is_one=sigma_e,

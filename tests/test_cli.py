@@ -264,7 +264,7 @@ def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
         support.annihilator_ideal(cyclic_group(4), t_mat)
 
 
-@pytest.mark.parametrize("command", ["verify", "fuzz", "fixed-points"])
+@pytest.mark.parametrize("command", ["verify", "fuzz", "fixed-points", "ideals"])
 def test_commutant_commands_above_the_cap_exit_two(command, monkeypatch, capsys):
     def no_decomposition(*args, **kwargs):
         raise AssertionError("a commutator stack was decomposed above the cap")

@@ -498,6 +498,14 @@ def test_suite_checks_fail_on_broken_pre_adjoint_and_quotient(monkeypatch):
     assert broken.quotient_formula_residual == per_pair == 1.0
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_suite_rejects_non_finite_sigma(bad):
+    values = np.ones(S3.order, dtype=complex)
+    values[1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linfty_perp_suite(GroupFunction(S3, values))
+
+
 def _closure_residual_by_products(group, ideal):
     """Oracle for bullet_closure_residual: stack every product of a point-mass
     mask with a basis element, project, and loop over the basis for the

@@ -27,12 +27,11 @@ from .linalg import (
     Tolerances,
     commutant,
     double_commutant,
+    inclusion_residual,
     null_space,
     projector_distance,
     psd_factorize,
     range_space,
-    subspace_contains,
-    subspace_equal,
 )
 from .functions import (
     AdaptednessReport,
@@ -56,7 +55,6 @@ from .functions import (
     uniform_measure,
 )
 from .actions import (
-    OperatorMatrix,
     SizeCapError,
     Superoperator,
     bullet,
@@ -70,7 +68,6 @@ from .actions import (
     module_action,
     mult_op,
     pi_quotient,
-    pre_adjoint,
     right_regular,
     schur_mask,
     theta,

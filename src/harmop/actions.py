@@ -15,31 +15,11 @@ Conventions, fixed repo-wide:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .groups import SUPEROP_CAP, GroupTable, SchemaError
+from .groups import SUPEROP_CAP, GroupTable
 from .functions import GroupFunction, Measure
 from .linalg import DEFAULT_TOL, SizeCapError, Tolerances, psd_factorize
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """An operator on l2(G); doubles as a trace-class element under the
-    trace pairing."""
-
-    group: GroupTable
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        n = self.group.order
-        if m.shape != (n, n):
-            raise ValueError(f"expected a {n}x{n} matrix, got {m.shape}")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
 
 
 def _perm_matrix(perm: np.ndarray) -> np.ndarray:
@@ -57,6 +37,15 @@ def left_regular(group: GroupTable, x: int) -> np.ndarray:
 def right_regular(group: GroupTable, x: int) -> np.ndarray:
     """rho(x): permutation matrix sending delta_b to delta_{b x^-1}."""
     return _perm_matrix(group.table[:, group.inv(x)])
+
+
+def _operator(group: GroupTable, t_mat) -> np.ndarray:
+    """t_mat as a complex |G| x |G| array; any other shape is a ValueError."""
+    t_mat = np.asarray(t_mat, dtype=complex)
+    if t_mat.shape != (group.order, group.order):
+        raise ValueError(
+            f"operator shape {t_mat.shape} does not match group order {group.order}")
+    return t_mat
 
 
 def transpose_index(n: int) -> np.ndarray:
@@ -121,10 +110,8 @@ class Superoperator:
         return f"Superoperator({self.group.name}, {self.kind})"
 
     def apply(self, t_mat: np.ndarray) -> np.ndarray:
-        t_mat = np.asarray(t_mat, dtype=complex)
+        t_mat = _operator(self.group, t_mat)
         n = self.group.order
-        if t_mat.shape != (n, n):
-            raise ValueError(f"operator shape {t_mat.shape} does not match group order {n}")
         if self.kind == "schur":
             return self.mask * t_mat
         out = np.zeros((n, n), dtype=complex)
@@ -195,10 +182,6 @@ def theta_hat_sum_form(sigma: GroupFunction, t_mat: np.ndarray,
     return out
 
 
-def pre_adjoint(phi: Superoperator) -> Superoperator:
-    return phi.pre_adjoint()
-
-
 # ---------------------------------------------------------------------------
 # the doubled space
 
@@ -247,40 +230,47 @@ def comultiplication(group: GroupTable, t_mat: np.ndarray) -> np.ndarray:
 
     A unital *-homomorphism; on the basis it acts by
     Gamma(lambda(x)) = lambda(x) tensor lambda(x) and
-    Gamma(E_ab) = lambda(a b^-1) tensor E_ab.
+    Gamma(E_ab) = lambda(a b^-1) tensor E_ab.  Conjugating by W_hat relabels
+    (1 tensor T)[(k, c), (k, d)] = T[c, d] to the rows P[k n + c], P[k n + d]
+    of the W_hat index map P.
     """
     _check_doubled_cap(group)
-    t_mat = np.asarray(t_mat, dtype=complex)
+    t_mat = _operator(group, t_mat)
     n = group.order
-    if t_mat.shape != (n, n):
-        raise ValueError(f"operator shape {t_mat.shape} does not match group order {n}")
-    perm = _pair_perm_w_hat(group)
-    inv_perm = np.argsort(perm)
-    big = np.kron(np.eye(n), t_mat)
-    # conjugation by a permutation matrix is a relabeling of rows and columns
-    return big[np.ix_(inv_perm, inv_perm)]
+    rows = _pair_perm_w_hat(group).reshape(n, n)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    out[rows[:, :, None], rows[:, None, :]] = t_mat
+    return out
 
 
 def coassociativity_defect(group: GroupTable, t_mat: np.ndarray) -> float:
     """Max-entry difference of (Gamma tensor id)Gamma(T) and
-    (id tensor Gamma)Gamma(T); materializes n^3 x n^3 matrices, so |G| <= 6."""
-    if group.order > 6:
-        raise SizeCapError("coassociativity check capped at order 6")
+    (id tensor Gamma)Gamma(T), in O(n^4) without forming either side.
+
+    On flat triples (a, b, c) both sides are relabelings Q (1 tensor 1 tensor
+    T) Q* with Q1 = P12 o P23 and Q2 = P23 o P13, where Pij applies the W_hat
+    index map to legs i, j.  So side Q has side[Q(k, c), Q(k, d)] = T[c, d] for
+    each pair k of the first two legs and is zero elsewhere; each side is read
+    at the other's n^4 places through the inverse of its own map.
+    """
+    _check_doubled_cap(group)
+    t_mat = _operator(group, t_mat)
     n = group.order
-    gamma_t = comultiplication(group, t_mat)
     perm = _pair_perm_w_hat(group)
     a, b, c = np.unravel_index(np.arange(n ** 3), (n, n, n))
-    # (Gamma tensor id): conjugate (1 tensor X) on legs (1,2) by W_hat
-    p1 = np.ravel_multi_index((perm[a * n + b] // n, perm[a * n + b] % n, c), (n, n, n))
-    inv1 = np.argsort(p1)
-    left = np.kron(np.eye(n), gamma_t)[np.ix_(inv1, inv1)]
-    # (id tensor Gamma): insert an identity middle leg, conjugate legs (2,3)
-    p2 = np.ravel_multi_index((a, perm[b * n + c] // n, perm[b * n + c] % n), (n, n, n))
-    inv2 = np.argsort(p2)
-    four = gamma_t.reshape(n, n, n, n)
-    lifted = np.einsum("acdf,be->abcdef", four, np.eye(n)).reshape(n ** 3, n ** 3)
-    right = lifted[np.ix_(inv2, inv2)]
-    return float(np.abs(left - right).max())
+    p12 = perm[a * n + b] * n + c
+    p23 = a * n * n + perm[b * n + c]
+    w1, w3 = np.divmod(perm[a * n + c], n)
+    p13 = w1 * n * n + b * n + w3
+    q1, q2 = p12[p23], p23[p13]
+    defect = 0.0
+    for here, there in ((q1, q2), (q2, q1)):
+        # the triple whose image under `there` is the place `here` writes to
+        pair, leg = np.divmod(np.argsort(there)[here].reshape(n * n, n), n)
+        other = np.where(pair[:, :, None] == pair[:, None, :],
+                         t_mat[leg[:, :, None], leg[:, None, :]], 0.0)
+        defect = max(defect, float(np.abs(t_mat - other).max()))
+    return defect
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +324,3 @@ def module_action(group: GroupTable, side: str, omega: np.ndarray,
     if side == "right":
         return np.einsum("abcd,ca->bd", four, omega)
     raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format
-
-def operator_to_json(op: OperatorMatrix) -> dict:
-    return {
-        "group": op.group.name,
-        "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in op.matrix],
-    }
-
-
-def operator_from_json(document: dict, group: GroupTable) -> OperatorMatrix:
-    if not isinstance(document, dict) or "matrix" not in document:
-        raise SchemaError("operator document must be an object with a 'matrix' field")
-    if document.get("group") != group.name:
-        raise SchemaError(
-            f"operator document is for group {document.get('group')!r}, not {group.name!r}"
-        )
-    from .functions import _is_re_im_pair
-
-    rows = document["matrix"]
-    n = group.order
-    if len(rows) != n or any(
-        len(r) != n or not all(_is_re_im_pair(c) for c in r) for r in rows
-    ):
-        raise SchemaError(f"'matrix' must be {n}x{n} with [re, im] cells")
-    mat = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    return OperatorMatrix(group, mat)

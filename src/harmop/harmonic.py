@@ -24,6 +24,7 @@ from .linalg import (
     Tolerances,
     commutant,
     double_commutant,
+    inclusion_residual,
     null_space,
     projector_distance,
     range_space,
@@ -165,15 +166,14 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
         expected = n * len(level)
     else:
         span = _bimodule_span(g, level, tol)
-        pa, ps, pc = fixed.projector, span.projector, stripe.projector
         dims = {
             "fixed_points": fixed.dim,
             "bimodule_span": span.dim,
             "stripe_span": stripe.dim,
         }
         distances = {
-            "span_in_fixed": float(np.linalg.norm(ps @ pa - ps)),
-            "fixed_in_stripe": float(np.linalg.norm(pa @ pc - pa)),
+            "span_in_fixed": inclusion_residual(span, fixed),
+            "fixed_in_stripe": inclusion_residual(fixed, stripe),
         }
         expected = None
     return HarmonicReport(
@@ -347,9 +347,8 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     pairings = ideal.basis.T @ fixed.basis[transpose_index(n)]
     orth = float(np.abs(pairings).max()) if pairings.size else 0.0
     sigma_e = abs(complex(sigma.values[g.identity]) - 1.0) <= tol.eq_tol
-    pi_i, pi_p, pi_t = ideal.projector, perp.projector, traceless.projector
-    ideal_in_perp = float(np.linalg.norm(pi_i @ pi_p - pi_i)) if sigma_e else None
-    perp_in_traceless = float(np.linalg.norm(pi_p @ pi_t - pi_p))
+    ideal_in_perp = inclusion_residual(ideal, perp) if sigma_e else None
+    perp_in_traceless = inclusion_residual(perp, traceless)
     units = np.array(_diagonal_units(n))  # E_ff . E_gg against Tr(E_ff) E_gg
     traces = np.trace(units, axis1=1, axis2=2)[:, None, None, None]
     quotient = float(np.abs(bullet(g, units[:, None], units[None, :]) - traces * units).max())

@@ -134,16 +134,12 @@ def projector_distance(a: Subspace, b: Subspace) -> float:
     return float(np.linalg.norm(a.projector - b.projector))
 
 
-def subspace_equal(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    return projector_distance(a, b) <= tol.eq_tol
-
-
-def subspace_contains(a: Subspace, b: Subspace, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff span(a) is contained in span(b)."""
+def inclusion_residual(a: Subspace, b: Subspace) -> float:
+    """||P_a P_b - P_a||_F, zero iff span(a) is contained in span(b)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
     pa, pb = a.projector, b.projector
-    return float(np.linalg.norm(pa @ pb - pa)) <= tol.eq_tol
+    return float(np.linalg.norm(pa @ pb - pa))
 
 
 # ---------------------------------------------------------------------------

@@ -266,6 +266,9 @@ def test_criterion_07_hopf_identities():
                 - pi_quotient(group, a).values * phi.values
             ).max()
             assert quotient_identity <= 1e-10, group.name
+    for group in [symmetric_group(4), builtin_group("D12")]:  # the doubled-space cap
+        for _ in range(3):
+            assert coassociativity_defect(group, random_operator(group, rng)) <= 1e-10, group.name
     print("\nACCEPTANCE 7 (comultiplication and module identities): PASS")
 
 

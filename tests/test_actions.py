@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,8 @@ from harmop.functions import (
     delta_measure,
     uniform_measure,
 )
+from harmop import actions
 from harmop.actions import (
-    OperatorMatrix,
     SizeCapError,
     Superoperator,
     bullet,
@@ -27,10 +29,7 @@ from harmop.actions import (
     left_regular,
     module_action,
     mult_op,
-    operator_from_json,
-    operator_to_json,
     pi_quotient,
-    pre_adjoint,
     right_regular,
     schur_mask,
     theta,
@@ -323,7 +322,7 @@ def test_pre_adjoint_of_identity():
     rng = np.random.default_rng(15)
     ident = Superoperator(Z4, "schur", mask=np.ones((4, 4)))
     t_mat = _rand(Z4, rng)
-    assert np.abs(pre_adjoint(ident).apply(t_mat) - t_mat).max() == 0.0
+    assert np.abs(ident.pre_adjoint().apply(t_mat) - t_mat).max() == 0.0
 
 
 def test_pre_adjoint_of_schur_mask_is_transpose():
@@ -419,12 +418,98 @@ def test_coassociativity_on_basis():
                 assert coassociativity_defect(g, _unit(g, a, b)) <= 1e-10
 
 
-def test_size_caps():
-    big = cyclic_group(30)
-    with pytest.raises(SizeCapError):
-        comultiplication(big, np.eye(30))
-    with pytest.raises(SizeCapError):
-        coassociativity_defect(cyclic_group(8), np.eye(8))
+def _comultiplication_oracle(group, t_mat):
+    """W_hat (1 tensor T) W_hat* as a relabeling of kron(1, T)."""
+    inv = np.argsort(actions._pair_perm_w_hat(group))
+    return np.kron(np.eye(group.order), t_mat)[np.ix_(inv, inv)]
+
+
+def _coassociativity_oracle(group, t_mat):
+    """(Gamma tensor id)Gamma(T) - (id tensor Gamma)Gamma(T) formed as two
+    n^3 x n^3 matrices from kron and an identity lift of the middle leg."""
+    n = group.order
+    gamma_t = _comultiplication_oracle(group, t_mat)
+    perm = actions._pair_perm_w_hat(group)
+    a, b, c = np.unravel_index(np.arange(n ** 3), (n, n, n))
+    # (Gamma tensor id): conjugate (1 tensor X) on legs (1,2) by W_hat
+    p1 = np.ravel_multi_index((perm[a * n + b] // n, perm[a * n + b] % n, c), (n, n, n))
+    inv1 = np.argsort(p1)
+    left = np.kron(np.eye(n), gamma_t)[np.ix_(inv1, inv1)]
+    # (id tensor Gamma): insert an identity middle leg, conjugate legs (2,3)
+    p2 = np.ravel_multi_index((a, perm[b * n + c] // n, perm[b * n + c] % n), (n, n, n))
+    inv2 = np.argsort(p2)
+    four = gamma_t.reshape(n, n, n, n)
+    lifted = np.einsum("acdf,be->abcdef", four, np.eye(n)).reshape(n ** 3, n ** 3)
+    right = lifted[np.ix_(inv2, inv2)]
+    return float(np.abs(left - right).max())
+
+
+SMALL = (Z2, Z3, Z4, cyclic_group(5), Z6, S3)
+
+
+def test_comultiplication_matches_kron_oracle():
+    rng = np.random.default_rng(40)
+    for g in SMALL + (D4, symmetric_group(4)):
+        t_mat = _rand(g, rng)
+        assert np.array_equal(comultiplication(g, t_mat), _comultiplication_oracle(g, t_mat))
+
+
+def test_coassociativity_defect_matches_kron_oracle():
+    rng = np.random.default_rng(41)
+    for g in SMALL:
+        for _ in range(4):
+            t_mat = _rand(g, rng)
+            defect = coassociativity_defect(g, t_mat)
+            assert defect <= 1e-12, g.name
+            assert abs(defect - _coassociativity_oracle(g, t_mat)) <= 1e-12, g.name
+
+
+def test_coassociativity_defect_matches_oracle_on_broken_w_hat(monkeypatch):
+    """Two swapped entries of the W_hat index map break coassociativity; the
+    index-map defect must see it, and agree with the kron oracle."""
+    rng = np.random.default_rng(42)
+    good = actions._pair_perm_w_hat
+    for g in (Z3, Z4, cyclic_group(5), Z6, S3):
+        n = g.order
+        for i, j in ((0, n * n - 1), (1, n + 2)):
+            def broken(group, i=i, j=j):
+                perm = good(group).copy()
+                perm[[i, j]] = perm[[j, i]]
+                return perm
+            with monkeypatch.context() as patch:
+                patch.setattr(actions, "_pair_perm_w_hat", broken)
+                t_mat = _rand(g, rng)
+                defect = coassociativity_defect(g, t_mat)
+                oracle = _coassociativity_oracle(g, t_mat)
+            assert defect > 0.1, (g.name, i, j)
+            assert abs(defect - oracle) <= 1e-12, (g.name, i, j)
+
+
+Z25 = cyclic_group(25)
+DOUBLED_SPACE_ENTRY_POINTS = {
+    "comultiplication": lambda m: comultiplication(Z25, m),
+    "coassociativity_defect": lambda m: coassociativity_defect(Z25, m),
+    "module_action": lambda m: module_action(Z25, "left", m, m),
+    "bullet_via_comultiplication": lambda m: bullet_via_comultiplication(Z25, m, m),
+    "fundamental_unitary": lambda m: fundamental_unitary(Z25),
+    "dual_unitary": lambda m: dual_unitary(Z25),
+    "flip_unitary": lambda m: flip_unitary(Z25),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DOUBLED_SPACE_ENTRY_POINTS))
+def test_doubled_space_caps_at_order_25(entry):
+    """Each doubled-space entry point refuses order 25 before allocating: each
+    would form an n^2 x n^2 array of at least 8 * 25^4 bytes (3.1 MB)."""
+    mat = np.eye(25, dtype=complex)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError, match="order 24"):
+            DOUBLED_SPACE_ENTRY_POINTS[entry](mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +664,3 @@ def test_multiplier_action_commutes_with_left_module_action():
         lhs = theta_hat(phi).apply(module_action(S3, "left", omega, t_mat))
         rhs = module_action(S3, "left", omega, theta_hat(phi).apply(t_mat))
         assert np.abs(lhs - rhs).max() <= 1e-10
-
-
-def test_operator_json_round_trip():
-    rng = np.random.default_rng(30)
-    op = OperatorMatrix(Z4, _rand(Z4, rng))
-    doc = operator_to_json(op)
-    back = operator_from_json(doc, Z4)
-    assert np.abs(back.matrix - op.matrix).max() == 0.0
-    with pytest.raises(ValueError):
-        operator_from_json(doc, Z6)

@@ -4,6 +4,7 @@ ideal suite in the trace-class predual."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -31,12 +32,10 @@ from .linalg import (
 )
 from .actions import (
     Superoperator,
-    _check_doubled_cap,
     bullet,
     displacement_table,
     left_regular,
     theta_hat,
-    transpose_index,
 )
 
 
@@ -256,10 +255,6 @@ def pre_annihilator_ideal(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> 
     return range_space(dense - np.eye(dense.shape[0]), tol, scale=_map_scale(dense))
 
 
-def _traceless_span(n: int, tol: Tolerances) -> Subspace:
-    return null_space(np.eye(n).reshape(1, -1), tol)
-
-
 def bullet_closure_residual(group: GroupTable, ideal: Subspace,
                             tol: Tolerances = DEFAULT_TOL) -> float:
     """How far products under the predual multiplication leave the ideal.
@@ -284,6 +279,26 @@ def bullet_closure_residual(group: GroupTable, ideal: Subspace,
     stripe_sums = np.abs(basis[stripes].sum(axis=1)).max(axis=1)
     unit_defect = np.linalg.norm(np.eye(n * n) - proj, axis=0)[stripes].max(axis=1)
     return max(residual, float((stripe_sums * unit_defect).max()))
+
+
+def _schur_masks(action: Superoperator, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-annihilator |m^T - 1| > c and the fixed points |m - 1| <= c of
+    a Schur map with mask m, as boolean masks over the matrix units, at the
+    cutoff c = rank_tol * max(1, max|m|) that the SVD route applies to the
+    dense map, which is diagonal."""
+    cut = tol.rank_tol * max(1.0, float(np.abs(action.mask).max()))
+    return np.abs(action.pre_adjoint().mask - 1.0) > cut, np.abs(action.mask - 1.0) <= cut
+
+
+def _stripe_cut(group: GroupTable, mask: np.ndarray) -> float:
+    """bullet_closure_residual of span{E_ab : mask[a, b]}: 1.0 if some
+    displacement stripe holds strictly between 0 and n of its units, else 0.0.
+
+    The stripe parts of a matrix unit are itself or zero, and a unit E_ab
+    against E_cd on the right is E_cd if (a, b) lies on the stripe of (c, d)
+    and zero otherwise, so the span is closed iff it is a union of stripes."""
+    counts = np.bincount(displacement_table(group)[mask], minlength=group.order)
+    return float(((counts > 0) & (counts < group.order)).any())
 
 
 @dataclass(frozen=True)
@@ -316,7 +331,17 @@ class IdealSuiteReport:
 
     @property
     def passed(self) -> bool:
-        """The dimension complement holds by construction on a Schur mask; it cannot fail."""
+        """The dimension complement and every residual within eq_tol.
+
+        On a Schur mask three of these hold by construction and cannot fail:
+        the dimension complement (the ideal and the fixed points are
+        complementary masks up to a transpose), perp in traceless (the
+        zero-diagonal mask misses the diagonal) and perp closure (the
+        diagonal is the stripe of e).  The others can: orthogonality on a
+        pre-adjoint that is not the transposed mask, ideal closure on a mask
+        that is not constant on stripes, the quotient on a wrong pi, and
+        ideal in perp when sigma(e) is within eq_tol of 1 but outside the
+        rank cutoff, which puts the diagonal in the ideal."""
         return (self.dim_ideal + self.dim_fixed == self.dim_traceless + 1
                 and self.worst_residual <= self.eq_tol)
 
@@ -329,41 +354,44 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     elements; verifies the inclusion chain when sigma(e) = 1, closure of both
     ideals under the predual product, orthogonality of the pre-annihilator
     against the fixed points, and the induced quotient product
-    f . g = <f, 1> g on diagonal representatives.  The action is a Schur map,
-    so both spaces are coordinate spans read off its mask and its pre-adjoint's
-    at the cutoff _map_scale gives it.  Capped at SUPEROP_CAP; sigma finite.
+    f . g = <f, 1> g on diagonal representatives.
+
+    The action is a Schur map, so the ideal, the fixed points and the zero
+    diagonal are coordinate spans, read off its mask and its pre-adjoint's as
+    boolean n x n masks (_schur_masks), and the traceless elements are the
+    complement of vec(I).  Every residual is then a count: the pairing of
+    the ideal with the transposed fixed points, sqrt(#(ideal on the
+    diagonal)), sqrt(#(perp on the diagonal) / n), and a stripe count per
+    closure (_stripe_cut).  bullet is entrywise in rho and the E_gg have
+    disjoint supports, so the quotient checks every pair E_ff . E_gg in one
+    product E_ff . I against Tr(E_ff) I.  Nothing larger than n^3 entries is
+    formed, so the suite has no size cap of its own; sigma must be finite.
+    IdealSuiteReport.passed says which of these checks can fail.
     """
     g = sigma.group
     n = g.order
-    _check_doubled_cap(g)
     if not np.all(np.isfinite(sigma.values)):
         raise ValueError("matrix has non-finite entries")
-    action = theta_hat(sigma)
-    cut = tol.rank_tol * max(1.0, float(np.abs(action.mask).max()))
-    ideal = _coordinate_span(np.abs(action.pre_adjoint().mask - 1.0) > cut)
-    fixed = _coordinate_span(np.abs(action.mask - 1.0) <= cut)
-    perp = _coordinate_span(~np.eye(n, dtype=bool))
-    traceless = _traceless_span(n, tol)
-    pairings = ideal.basis.T @ fixed.basis[transpose_index(n)]
-    orth = float(np.abs(pairings).max()) if pairings.size else 0.0
+    ideal, fixed = _schur_masks(theta_hat(sigma), tol)
+    diagonal = np.eye(n, dtype=bool)
+    perp = ~diagonal
     sigma_e = abs(complex(sigma.values[g.identity]) - 1.0) <= tol.eq_tol
-    ideal_in_perp = inclusion_residual(ideal, perp) if sigma_e else None
-    perp_in_traceless = inclusion_residual(perp, traceless)
-    units = np.array(_diagonal_units(n))  # E_ff . E_gg against Tr(E_ff) E_gg
-    traces = np.trace(units, axis1=1, axis2=2)[:, None, None, None]
-    quotient = float(np.abs(bullet(g, units[:, None], units[None, :]) - traces * units).max())
+    ideal_in_perp = math.sqrt(np.count_nonzero(ideal & diagonal)) if sigma_e else None
+    units = np.array(_diagonal_units(n))  # E_ff . I against Tr(E_ff) I
+    traces = np.trace(units, axis1=1, axis2=2)[:, None, None]
+    quotient = float(np.abs(bullet(g, units, np.eye(n)) - traces * np.eye(n)).max())
     return IdealSuiteReport(
         group_name=g.name,
         sigma_at_identity_is_one=sigma_e,
-        dim_ideal=ideal.dim,
-        dim_fixed=fixed.dim,
-        dim_linfty_perp=perp.dim,
-        dim_traceless=traceless.dim,
-        orthogonality_residual=orth,
+        dim_ideal=int(np.count_nonzero(ideal)),
+        dim_fixed=int(np.count_nonzero(fixed)),
+        dim_linfty_perp=int(np.count_nonzero(perp)),
+        dim_traceless=n * n - 1,
+        orthogonality_residual=float((ideal & fixed.T).any()),
         ideal_in_perp_residual=ideal_in_perp,
-        perp_in_traceless_residual=perp_in_traceless,
-        ideal_closure_residual=bullet_closure_residual(g, ideal, tol),
-        perp_closure_residual=bullet_closure_residual(g, perp, tol),
+        perp_in_traceless_residual=math.sqrt(np.count_nonzero(perp & diagonal) / n),
+        ideal_closure_residual=_stripe_cut(g, ideal),
+        perp_closure_residual=_stripe_cut(g, perp),
         quotient_formula_residual=quotient,
         eq_tol=tol.eq_tol,
     )

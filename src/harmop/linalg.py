@@ -81,13 +81,6 @@ class Subspace:
             mat = mat.reshape(len(mat), -1)
         return range_space(mat.T, tol)
 
-    def contains_vector(self, v: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> bool:
-        v = np.asarray(v, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
-        if norm == 0:
-            return True
-        return np.linalg.norm(self.projector @ v - v) <= tol.eq_tol * max(1.0, norm)
-
 
 def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
     """Orthonormal basis of {v : Mv ~ 0}, thresholded at rank_tol * ||M||.

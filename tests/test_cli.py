@@ -148,9 +148,17 @@ def test_max_n_is_a_usage_error():
 
 
 def test_ideals_run_at_the_doubled_space_cap(capsys):
-    # order 24 is SUPEROP_CAP; the predual-closure checks see 576-dim spaces
+    # order 24 is SUPEROP_CAP, the largest order of the dense oracles in test_harmonic
     assert main(["ideals", "--group", "S4", "--count", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize("group", ["D60", "S5"])
+def test_ideals_run_at_order_120(group, capsys):
+    # the suite works on n x n masks and one n^3 quotient stack, so it has no cap
+    assert main(["ideals", "--group", group, "--count", "1"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks and all(c["passed"] for c in checks)
 
 
 def test_wrong_operator_limit_product_fails(monkeypatch, capsys):
@@ -264,7 +272,7 @@ def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
         support.annihilator_ideal(cyclic_group(4), t_mat)
 
 
-@pytest.mark.parametrize("command", ["verify", "fuzz", "fixed-points", "ideals"])
+@pytest.mark.parametrize("command", ["verify", "fuzz", "fixed-points"])
 def test_commutant_commands_above_the_cap_exit_two(command, monkeypatch, capsys):
     def no_decomposition(*args, **kwargs):
         raise AssertionError("a commutator stack was decomposed above the cap")

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from harmop.linalg import (
     Subspace,
     double_commutant,
     inclusion_residual,
+    null_space,
     projector_distance,
 )
 from harmop import actions, harmonic
@@ -63,6 +65,8 @@ from harmop.generators import (
     random_translation_combination,
     random_unit_at_identity,
 )
+
+from spans import in_span
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -116,7 +120,7 @@ def test_harmonic_functions_adapted_z4():
     mu = Measure(Z4, [0, 0.5, 0, 0.5])
     space = harmonic_functions(mu)
     assert space.dim == 1
-    assert space.contains_vector(np.ones(4) / 2)
+    assert in_span(space, np.ones(4) / 2)
     # brute force: every basis vector really is fixed by the averaging
     for k in range(space.dim):
         phi = space.basis[:, k]
@@ -131,7 +135,7 @@ def test_harmonic_functions_nonadapted_z4():
     assert space.dim == 2
     # functions constant on the cosets {0, 2} and {1, 3}
     for target in ([1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]):
-        assert space.contains_vector(np.array(target) / np.sqrt(2))
+        assert in_span(space, np.array(target) / np.sqrt(2))
 
 
 def test_harmonic_functions_requires_probability():
@@ -149,7 +153,7 @@ def test_harmonic_functionals_constant_one():
 def test_harmonic_functionals_delta_e():
     space = harmonic_functionals(delta_function(S3, 0))
     assert space.dim == 1
-    assert space.contains_vector(np.eye(6).reshape(-1) / np.sqrt(6))
+    assert in_span(space, np.eye(6).reshape(-1) / np.sqrt(6))
 
 
 def test_harmonic_functionals_subgroup_indicator():
@@ -411,20 +415,20 @@ def test_ideal_suite_nonunital_sigma_skips_chain():
     )
 
 
-def _suite_spaces(monkeypatch, sigma):
-    """Run the suite and capture the coordinate spans it builds, in the order
-    it builds them: the ideal, the fixed points, the zero-diagonal span."""
-    spans, original = [], harmonic._coordinate_span
+def _suite_masks(monkeypatch, sigma):
+    """Run the suite and capture the masks it reads off the Schur map: the
+    ideal and the fixed points."""
+    masks, original = [], harmonic._schur_masks
 
-    def recording(mask):
-        spans.append(original(mask))
-        return spans[-1]
+    def recording(action, tol):
+        masks.append(original(action, tol))
+        return masks[-1]
 
     with monkeypatch.context() as patch:
-        patch.setattr(harmonic, "_coordinate_span", recording)
+        patch.setattr(harmonic, "_schur_masks", recording)
         report = linfty_perp_suite(sigma)
-    ideal, fixed, _ = spans
-    assert (report.dim_ideal, report.dim_fixed) == (ideal.dim, fixed.dim)
+    [(ideal, fixed)] = masks
+    assert (report.dim_ideal, report.dim_fixed) == (ideal.sum(), fixed.sum())
     return report, fixed, ideal
 
 
@@ -447,7 +451,9 @@ def test_suite_coordinate_spans_match_the_svd_routes(monkeypatch, name):
     sigmas = [random_positive_definite(g, rng), random_unit_at_identity(g, rng),
               _near_one_sigma(g, rng)]
     for k, sigma in enumerate(sigmas):
-        report, fixed, ideal = _suite_spaces(monkeypatch, sigma)
+        report, fixed_mask, ideal_mask = _suite_masks(monkeypatch, sigma)
+        fixed = harmonic._coordinate_span(fixed_mask)
+        ideal = harmonic._coordinate_span(ideal_mask)
         svd_fixed = fixed_points(theta_hat(sigma))
         svd_ideal = pre_annihilator_ideal(theta_hat(sigma))
         assert (fixed.dim, ideal.dim) == (svd_fixed.dim, svd_ideal.dim), (name, k)
@@ -455,6 +461,91 @@ def test_suite_coordinate_spans_match_the_svd_routes(monkeypatch, name):
         assert projector_distance(ideal, svd_ideal) <= 1e-12, (name, k)
         assert report.passed, (name, k)
     assert fixed.dim == 3 * n  # the identity and the two values within the cutoff
+
+
+def _dense_suite_residuals(group, ideal_mask, fixed_mask):
+    """The suite's mask residuals on dense Subspaces: the pairing of the bases,
+    inclusion_residual, bullet_closure_residual and the SVD traceless span."""
+    n = group.order
+    ideal = harmonic._coordinate_span(ideal_mask)
+    fixed = harmonic._coordinate_span(fixed_mask)
+    perp = harmonic._coordinate_span(~np.eye(n, dtype=bool))
+    traceless = null_space(np.eye(n).reshape(1, -1))
+    pairings = ideal.basis.T @ fixed.basis[transpose_index(n)]
+    return {
+        "dim_traceless": traceless.dim,
+        "orthogonality_residual": float(np.abs(pairings).max()) if pairings.size else 0.0,
+        "ideal_in_perp_residual": inclusion_residual(ideal, perp),
+        "perp_in_traceless_residual": inclusion_residual(perp, traceless),
+        "ideal_closure_residual": bullet_closure_residual(group, ideal),
+        "perp_closure_residual": bullet_closure_residual(group, perp),
+    }
+
+
+def _suite_against_dense(monkeypatch, sigma):
+    """Run the suite and assert that each residual equals its dense oracle."""
+    report, fixed, ideal = _suite_masks(monkeypatch, sigma)
+    oracle = _dense_suite_residuals(sigma.group, ideal, fixed)
+    if not report.sigma_at_identity_is_one:
+        oracle["ideal_in_perp_residual"] = None
+    assert {key: getattr(report, key) for key in oracle} == oracle
+    return report
+
+
+def _off_stripe_action(sigma):
+    """theta_hat(sigma) with the unit (0, 1) also fixed: a mask that is not
+    constant on the stripe of 0 * 1^-1, so the ideal cuts that stripe."""
+    mask = schur_mask(sigma).copy()
+    mask[0, 1] = 1.0
+    return Superoperator(sigma.group, "schur", mask=mask)
+
+
+def _untransposed(self):
+    return Superoperator(self.group, "schur", mask=self.mask)
+
+
+@pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D6", "S4"])
+def test_suite_residuals_equal_the_dense_oracle(monkeypatch, name):
+    g = builtin_group(name)
+    rng = np.random.default_rng(40 + g.order)
+    r = next(x for x in range(g.order) if g.inverse[x] != x)
+    sigmas = [random_positive_definite(g, rng), random_unit_at_identity(g, rng),
+              _near_one_sigma(g, rng), random_unit_at_identity(g, rng, level_set=[r]),
+              GroupFunction(g, rng.standard_normal(g.order))]  # sigma(e) != 1
+    for k, sigma in enumerate(sigmas):
+        assert _suite_against_dense(monkeypatch, sigma).passed, (name, k)
+    assert linfty_perp_suite(sigmas[0]).quotient_formula_residual \
+        == _quotient_residual_by_pairs(g) == 0.0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonic, "theta_hat", _off_stripe_action)
+        broken = _suite_against_dense(monkeypatch, sigmas[0])
+    assert (broken.ideal_closure_residual, broken.passed) == (1.0, False)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Superoperator, "pre_adjoint", _untransposed)
+        broken = _suite_against_dense(monkeypatch, sigmas[3])
+    assert (broken.orthogonality_residual, broken.passed) == (1.0, False)
+
+
+def test_suite_forms_no_doubled_space_array(monkeypatch):
+    """One complex 576 x 576 array is 5.3 MB; the suite on S4 builds no
+    Subspace, calls no decomposition and peaks far below that."""
+    sigma = random_positive_definite(builtin_group("S4"), np.random.default_rng(7))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ideal suite reached a dense route")
+
+    for module, name in ((np.linalg, "svd"), (np.linalg, "qr"), (Subspace, "__init__")):
+        monkeypatch.setattr(module, name, refuse)
+    tracemalloc.start()
+    try:
+        report = linfty_perp_suite(sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 2_000_000, peak
 
 
 def _quotient_residual_by_pairs(group):
@@ -476,11 +567,8 @@ def test_suite_checks_fail_on_broken_pre_adjoint_and_quotient(monkeypatch):
     assert report.passed and report.orthogonality_residual == 0.0
     assert report.quotient_formula_residual == _quotient_residual_by_pairs(S3) == 0.0
 
-    def untransposed(self):
-        return Superoperator(self.group, "schur", mask=self.mask)
-
     with monkeypatch.context() as patch:
-        patch.setattr(Superoperator, "pre_adjoint", untransposed)
+        patch.setattr(Superoperator, "pre_adjoint", _untransposed)
         broken = linfty_perp_suite(sigma)
     assert not broken.passed
     assert broken.orthogonality_residual == 1.0

@@ -117,12 +117,43 @@ def _validate_table(table: np.ndarray) -> None:
     if np.any(bad_rows | bad_cols):
         a = int(np.argmax(bad_rows | bad_cols))
         raise GroupTableError(f"{'row' if bad_rows[a] else 'column'} {a} is not a permutation")
-    left = table[table]            # left[a, b, c] = (a*b)*c
-    right = table[:, table]        # right[a, b, c] = a*(b*c)
+    # Light's test: the b with (a*b)*c = a*(b*c) for all a, c are closed under
+    # products, so checking b over a generating set covers all n^3 triples
+    gens = _generators(table)
+    left = table[table[:, gens]]   # left[a, i, c] = (a*b)*c for b = gens[i]
+    right = table[:, table[gens]]  # right[a, i, c] = a*(b*c)
     if not np.array_equal(left, right):
-        a, b, c = np.argwhere(left != right)[0]
+        a, i, c = np.argwhere(left != right)[0]
+        b = gens[i]
         raise GroupTableError(f"associativity fails at ({a}, {b}, {c}): "
-                              f"({a}*{b})*{c} = {left[a, b, c]} but {a}*({b}*{c}) = {right[a, b, c]}")
+                              f"({a}*{b})*{c} = {left[a, i, c]} but {a}*({b}*{c}) = {right[a, i, c]}")
+
+
+def _generators(table: np.ndarray) -> np.ndarray:
+    """A set whose closure under products is every element of a Latin table:
+    add the least element not yet reached, then square the reached set until
+    it stops growing.  A two-sided identity passes Light's test on any table,
+    so it starts out reached and is never a generator.  Each reached set is a
+    subquasigroup, and the next one at least doubles it (H x misses H for x
+    outside H), so there are at most log2(n) + 1 generators."""
+    n = table.shape[0]
+    full = np.arange(n)
+    e = int(table[0].argmin())  # 0*e = 0
+    reached = np.zeros(n, dtype=bool)
+    reached[e] = np.array_equal(table[e], full) and np.array_equal(table[:, e], full)
+    gens = []
+    while not reached.all():
+        g = int(reached.argmin())
+        gens.append(g)
+        reached[g] = True
+        m = reached.nonzero()[0]
+        while len(m) < n:
+            reached[table[m[:, None], m]] = True
+            grown = reached.nonzero()[0]
+            if len(grown) == len(m):
+                break
+            m = grown
+    return np.array(gens, dtype=np.intp)
 
 
 def _relabeling(n: int, identity: int) -> np.ndarray:

@@ -339,9 +339,10 @@ class IdealSuiteReport:
         zero-diagonal mask misses the diagonal) and perp closure (the
         diagonal is the stripe of e).  The others can: orthogonality on a
         pre-adjoint that is not the transposed mask, ideal closure on a mask
-        that is not constant on stripes, the quotient on a wrong pi, and
-        ideal in perp when sigma(e) is within eq_tol of 1 but outside the
-        rank cutoff, which puts the diagonal in the ideal."""
+        that is not constant on stripes, and the quotient on a wrong pi.
+        Ideal in perp fails only on a pre-adjoint whose diagonal is not the
+        mask's, since sigma(e) = 1 is read off the fixed mask at the same
+        cutoff as the ideal."""
         return (self.dim_ideal + self.dim_fixed == self.dim_traceless + 1
                 and self.worst_residual <= self.eq_tol)
 
@@ -375,7 +376,9 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     ideal, fixed = _schur_masks(theta_hat(sigma), tol)
     diagonal = np.eye(n, dtype=bool)
     perp = ~diagonal
-    sigma_e = abs(complex(sigma.values[g.identity]) - 1.0) <= tol.eq_tol
+    # the mask's diagonal is sigma(e): the cutoff that keeps the diagonal out
+    # of the ideal also decides whether sigma(e) = 1
+    sigma_e = bool(fixed[g.identity, g.identity])
     ideal_in_perp = math.sqrt(np.count_nonzero(ideal & diagonal)) if sigma_e else None
     units = np.array(_diagonal_units(n))  # E_ff . I against Tr(E_ff) I
     traces = np.trace(units, axis1=1, axis2=2)[:, None, None]

@@ -8,6 +8,7 @@ from harmop.cli import COMMANDS, CheckRecord, Report, RunConfig, emit, main, par
 from harmop.groups import cyclic_group, symmetric_group
 from harmop.functions import function_to_json, indicator_function, measure_to_json
 from harmop.functions import Measure
+from test_groups import intercalate_swapped
 
 
 def _strip_wall_time(text: str) -> dict:
@@ -52,6 +53,29 @@ def test_group_file_input(tmp_path, capsys):
     path = tmp_path / "s3.json"
     path.write_text(json.dumps(s3.to_json()))
     assert main(["verify", "--group", str(path), "--count", "2"]) == 0
+
+
+def test_relabeled_group_file_runs_at_order_120(tmp_path, capsys):
+    s5 = symmetric_group(5)
+    perm = np.random.default_rng(5).permutation(s5.order)  # old -> new
+    assert perm[0] != 0  # the identity leaves index 0
+    old = np.argsort(perm)
+    doc = dict(s5.to_json(), elements=[s5.elements[i] for i in old],
+               table=perm[s5.table[np.ix_(old, old)]].tolist())
+    path = tmp_path / "s5.json"
+    path.write_text(json.dumps(doc))
+    assert main(["limit-product", "--group", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
+def test_non_associative_group_file_is_input_error(tmp_path, capsys):
+    table = intercalate_swapped("D30")  # a loop of order 60
+    doc = {"name": "loop", "order": 60, "elements": [str(k) for k in range(60)],
+           "table": table.tolist()}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    assert main(["support", "--group", str(path)]) == 2
+    assert "associativity fails at" in capsys.readouterr().err
 
 
 def test_tolerance_echoed(capsys):

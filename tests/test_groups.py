@@ -1,5 +1,7 @@
 import itertools
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from harmop.groups import (
     GroupTableError,
     SchemaError,
     Subgroup,
+    _generators,
+    _validate_table,
     all_subgroups,
     builtin_group,
     characters,
@@ -191,13 +195,114 @@ def test_parse_schema_errors():
         parse_group(bad_range)
 
 
+# a*b = a + s(b) mod 5 with s swapping 3 and 4: a Latin square with no identity
+QUASIGROUP_5 = [[(a + [0, 1, 2, 4, 3][b]) % 5 for b in range(5)] for a in range(5)]
+
+
 def test_parse_rejects_nonassociative_latin_square():
-    # a*b = a + s(b) mod 5 with s swapping 3 and 4: a Latin square, not a group
-    s = [0, 1, 2, 4, 3]
-    table = [[(a + s[b]) % 5 for b in range(5)] for a in range(5)]
     with pytest.raises(GroupTableError, match="associativity"):
         parse_group({"name": "quasigroup", "order": 5,
-                     "elements": list("abcde"), "table": table})
+                     "elements": list("abcde"), "table": QUASIGROUP_5})
+
+
+def associativity_oracle(table) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c) with (a*b)*c != a*(b*c), from all n^3 of them."""
+    left = table[table]            # left[a, b, c] = (a*b)*c
+    right = table[:, table]        # right[a, b, c] = a*(b*c)
+    bad = left != right
+    return tuple(int(v) for v in np.unravel_index(bad.argmax(), bad.shape)) if bad.any() else None
+
+
+def intercalate_swapped(name: str) -> np.ndarray:
+    """The table of a built-in group with one intercalate (a 2 x 2 Latin
+    subsquare) swapped: rows b, b*u and columns c, u*c for an involution u,
+    none of them the identity, so the result is a loop with identity 0."""
+    table = builtin_group(name).table.copy()
+    u = next(x for x in range(1, len(table)) if table[x, x] == 0)
+    b = c = next(x for x in range(1, len(table)) if x != u)
+    block = np.ix_([b, table[b, u]], [c, table[u, c]])
+    square = table[block]
+    assert square[0, 0] == square[1, 1] and square[0, 1] == square[1, 0]
+    table[block] = square[:, ::-1]
+    return table
+
+
+def _closure(table, start) -> np.ndarray:
+    """Mask of the elements that products of ``start`` and any two-sided
+    identity reach."""
+    n = len(table)
+    reached = np.zeros(n, dtype=bool)
+    reached[start] = True
+    for e in range(n):
+        if np.array_equal(table[e], np.arange(n)) and np.array_equal(table[:, e], np.arange(n)):
+            reached[e] = True
+    while True:
+        members = np.flatnonzero(reached)
+        grown = reached.copy()
+        grown[table[np.ix_(members, members)]] = True
+        if np.array_equal(grown, reached):
+            return reached
+        reached = grown
+
+
+def _isotope(name: str) -> np.ndarray:
+    """(a, b) -> p[t[q[a], r[b]]] for seeded random permutations p, q, r of
+    a built-in group's table t: a Latin square, and in general no loop."""
+    table = builtin_group(name).table
+    p, q, r = np.random.default_rng(0).permuted(np.tile(np.arange(len(table)), (3, 1)), axis=1)
+    return p[table[np.ix_(q, r)]]
+
+
+def _latin_table(case: str) -> np.ndarray:
+    name, _, kind = case.partition("-")
+    if case == "quasigroup":
+        return np.array(QUASIGROUP_5)
+    if kind == "intercalate":
+        return intercalate_swapped(name)
+    if kind == "isotope":
+        return _isotope(name)
+    return builtin_group(name).table
+
+
+BUILTIN_NAMES = ([f"Z{n}" for n in range(1, 121)] + [f"D{n}" for n in range(1, 61)]
+                 + [f"S{m}" for m in range(1, 6)]
+                 + ["Q8", "Z2xZ4", "Z3xS3", "Z2xZ2xZ6", "Q8xZ3", "S3xS3", "Z2xS4", "Q8xZ5"])
+LATIN_CASES = (["quasigroup"]
+               + [f"{name}-intercalate" for name in ["Z6", "S4", "D12", "D60"]]
+               + [f"{name}-isotope" for name in ["S3", "Q8", "S4", "Z2xZ2xZ6", "S5"]]
+               + BUILTIN_NAMES)
+
+
+@pytest.mark.parametrize("case", LATIN_CASES)
+def test_light_test_agrees_with_the_cube(case):
+    table = _latin_table(case)
+    gens = _generators(table)  # Light's test is sound only on a generating set
+    assert _closure(table, gens).all()
+    assert len(gens) <= np.log2(len(table)) + 1
+    oracle = associativity_oracle(table)
+    if case.endswith("-intercalate"):
+        assert oracle is not None
+        assert np.array_equal(table[0], np.arange(len(table)))
+        assert np.array_equal(table[:, 0], np.arange(len(table)))
+    if oracle is None:
+        _validate_table(table)
+        return
+    with pytest.raises(GroupTableError, match="associativity fails at") as err:
+        _validate_table(table)
+    a, b, c = map(int, re.search(r"\((\d+), (\d+), (\d+)\)", str(err.value)).groups())
+    assert table[table[a, b], c] != table[a, table[b, c]]
+
+
+@pytest.mark.parametrize("name", ["S5", "D60", "Z120"])
+def test_construction_at_order_120_allocates_no_cube(name):
+    # the n^3 associativity cube alone is 13.8 MB at order 120
+    tracemalloc.start()
+    try:
+        builtin_group(name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_parse_rejects_broken_latin_square():

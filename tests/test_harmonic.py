@@ -432,6 +432,21 @@ def _suite_masks(monkeypatch, sigma):
     return report, fixed, ideal
 
 
+@pytest.mark.parametrize("name", ["S4", "D12", "Z2xZ2xZ6"])
+@pytest.mark.parametrize("scale", [0.5, -0.5, 2.0, -2.0])
+def test_suite_decides_sigma_e_at_its_own_cutoff(monkeypatch, name, scale):
+    # sigma = 1 except sigma(e) = 1 + scale * c: the constant 1 moved inside
+    # (|scale| < 1) or outside the cutoff c of the suite's masks
+    g = builtin_group(name)
+    values = np.ones(g.order)
+    values[g.identity] += scale * DEFAULT_TOL.rank_tol
+    report, fixed, ideal = _suite_masks(monkeypatch, GroupFunction(g, values))
+    inside = abs(scale) < 1
+    assert report.sigma_at_identity_is_one == fixed[0, 0] == (not ideal[0, 0]) == inside
+    assert report.ideal_in_perp_residual == (0.0 if inside else None)
+    assert report.passed
+
+
 def _near_one_sigma(group, rng):
     """A function with values 1 +- c/2 and 1 +- 2c at four non-identity
     elements, c the suite's cutoff: the first two sit inside it, the last

@@ -23,6 +23,7 @@ from .groups import (
 )
 from .linalg import (
     DEFAULT_TOL,
+    SizeCapError,
     Subspace,
     Tolerances,
     commutant,
@@ -55,7 +56,6 @@ from .functions import (
     uniform_measure,
 )
 from .actions import (
-    SizeCapError,
     Superoperator,
     bullet,
     bullet_via_comultiplication,

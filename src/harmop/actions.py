@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .groups import SUPEROP_CAP, GroupTable
+from .groups import GroupTable
 from .functions import GroupFunction, Measure
-from .linalg import DEFAULT_TOL, SizeCapError, Tolerances, psd_factorize
+from .linalg import DEFAULT_TOL, Tolerances, check_cap, psd_factorize
 
 
 def _perm_matrix(perm: np.ndarray) -> np.ndarray:
@@ -122,10 +122,7 @@ class Superoperator:
     def dense(self) -> np.ndarray:
         if self._dense is None:
             n = self.group.order
-            if n > SUPEROP_CAP:
-                raise SizeCapError(
-                    f"dense superoperators are capped at order {SUPEROP_CAP}, got {n}"
-                )
+            check_cap(n, "dense superoperators")
             if self.kind == "schur":
                 self._dense = np.diag(self.mask.reshape(-1))
             else:
@@ -185,13 +182,6 @@ def theta_hat_sum_form(sigma: GroupFunction, t_mat: np.ndarray,
 # ---------------------------------------------------------------------------
 # the doubled space
 
-def _check_doubled_cap(group: GroupTable) -> None:
-    if group.order > SUPEROP_CAP:
-        raise SizeCapError(
-            f"doubled-space computation capped at order {SUPEROP_CAP}, got {group.order}"
-        )
-
-
 def _pair_perm_w(group: GroupTable) -> np.ndarray:
     """Flat permutation of the basis delta_(a,b) -> delta_(a, a^-1 b)."""
     n = group.order
@@ -209,19 +199,19 @@ def _pair_perm_w_hat(group: GroupTable) -> np.ndarray:
 def fundamental_unitary(group: GroupTable) -> np.ndarray:
     """W on l2(G x G): (W xi)(x, y) = xi(x, x y), as an n^2 x n^2 matrix in
     row-major pair order."""
-    _check_doubled_cap(group)
+    check_cap(group.order, "doubled-space computation")
     return _perm_matrix(_pair_perm_w(group))
 
 
 def flip_unitary(group: GroupTable) -> np.ndarray:
     """The tensor flip delta_(a,b) -> delta_(b,a)."""
-    _check_doubled_cap(group)
+    check_cap(group.order, "doubled-space computation")
     return _perm_matrix(transpose_index(group.order))
 
 
 def dual_unitary(group: GroupTable) -> np.ndarray:
     """W_hat = flip W* flip; sends delta_(a,b) to delta_(b a, b)."""
-    _check_doubled_cap(group)
+    check_cap(group.order, "doubled-space computation")
     return _perm_matrix(_pair_perm_w_hat(group))
 
 
@@ -234,7 +224,7 @@ def comultiplication(group: GroupTable, t_mat: np.ndarray) -> np.ndarray:
     (1 tensor T)[(k, c), (k, d)] = T[c, d] to the rows P[k n + c], P[k n + d]
     of the W_hat index map P.
     """
-    _check_doubled_cap(group)
+    check_cap(group.order, "doubled-space computation")
     t_mat = _operator(group, t_mat)
     n = group.order
     rows = _pair_perm_w_hat(group).reshape(n, n)
@@ -253,7 +243,7 @@ def coassociativity_defect(group: GroupTable, t_mat: np.ndarray) -> float:
     each pair k of the first two legs and is zero elsewhere; each side is read
     at the other's n^4 places through the inverse of its own map.
     """
-    _check_doubled_cap(group)
+    check_cap(group.order, "doubled-space computation")
     t_mat = _operator(group, t_mat)
     n = group.order
     perm = _pair_perm_w_hat(group)
@@ -300,7 +290,7 @@ def bullet_via_comultiplication(group: GroupTable, omega: np.ndarray,
     """Definitional oracle for bullet: contract Gamma(E_ab), which has a 1 at
     (P[c n + a], P[c n + b]) for every c with P the W_hat index map, against
     omega tensor rho, so out[b, a] = sum_c pair[P[c n + b], P[c n + a]]."""
-    _check_doubled_cap(group)
+    check_cap(group.order, "doubled-space computation")
     pair = np.kron(np.asarray(omega, dtype=complex), np.asarray(rho_mat, dtype=complex))
     perm = _pair_perm_w_hat(group).reshape(group.order, -1)
     return pair[perm[:, :, None], perm[:, None, :]].sum(axis=0)

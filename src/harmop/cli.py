@@ -37,12 +37,12 @@ from .functions import (
     measure_from_json,
     uniform_measure,
 )
-from .linalg import LinAlgContractError, Tolerances, double_commutant, projector_distance
+from .linalg import LinAlgContractError, Tolerances, projector_distance
 from .actions import left_regular, mult_op, theta, theta_hat
 from .support import annihilator_ideal, operator_support
 from .harmonic import (
-    HarmonicReport,
     fixed_points,
+    harmonic_functionals,
     harmonic_functions,
     invariant_algebra,
     limit_product,
@@ -147,11 +147,8 @@ def _resolve_mus(spec: str, group: GroupTable, count: int,
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_verify(group: GroupTable, sigmas,
-                  tol: Tolerances) -> tuple[list[CheckRecord], list[HarmonicReport]]:
-    """The verify checks, and the three-route report of each sigma."""
+def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecord]:
     checks = []
-    reports = []
     for k, sub in enumerate(all_subgroups(group)):
         report = invariant_algebra(sub, tol)
         checks.append(CheckRecord(
@@ -164,7 +161,6 @@ def _suite_verify(group: GroupTable, sigmas,
         ))
     for name, sigma in sigmas:
         report = verify_main_theorem(sigma, tol, parameter=name)
-        reports.append(report)
         if report.p1_mode:
             dims = set(report.dims.values())
             checks.append(CheckRecord(
@@ -192,7 +188,7 @@ def _suite_verify(group: GroupTable, sigmas,
                 metric=float(max(report.distances.values())),
                 tolerance=tol.eq_tol,
             ))
-    return checks, reports
+    return checks
 
 
 def _suite_support(group: GroupTable, count: int, rng: np.random.Generator,
@@ -263,7 +259,6 @@ def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list
             metric=float(abs(fixed.dim + ideal.dim - n * n)), tolerance=0.0,
         )
 
-    vn = double_commutant([left_regular(group, x) for x in range(n)], n, tol)
     for name, mu in mus:
         space = harmonic_functions(mu, tol)
         index = n // len(generated_subgroup(group, mu.support(tol)))
@@ -275,6 +270,8 @@ def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list
         action = theta(mu)
         fixed = fixed_points(action, tol)
         if index == 1:
+            # VN(G) = span lambda(G), the Chu-Lau space of the constant sigma = 1
+            vn = harmonic_functionals(constant_function(group), tol)
             dist = projector_distance(fixed, vn)
             checks.append(CheckRecord(
                 name=f"fixed-points/{name}/crossed_product_degenerate",
@@ -365,21 +362,6 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
     return checks
 
 
-def _suite_fuzz(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecord]:
-    checks, reports = _suite_verify(group, sigmas, tol)
-    strict = sum(
-        int(r.dims["fixed_points"] < r.dims.get("stripe_span", r.dims["fixed_points"]))
-        for r in reports
-    )
-    checks.append(CheckRecord(
-        name="fuzz/strict_inclusion_candidates",
-        statement="candidate sigmas where the fixed points sit strictly inside the "
-                  "level-set stripe span (none are expected on finite groups)",
-        passed=strict == 0, metric=float(strict), tolerance=0.0,
-    ))
-    return checks
-
-
 def run(config: RunConfig) -> Report:
     start = time.perf_counter()
     tol = config.tolerances()
@@ -388,7 +370,7 @@ def run(config: RunConfig) -> Report:
     checks: list[CheckRecord]
     if config.command == "verify":
         sigmas = _resolve_sigmas(config.sigma, group, config.count, rng, tol)
-        checks, _ = _suite_verify(group, sigmas, tol)
+        checks = _suite_verify(group, sigmas, tol)
     elif config.command == "support":
         checks = _suite_support(group, max(config.count, 1), rng, tol)
     elif config.command == "fixed-points":
@@ -404,7 +386,7 @@ def run(config: RunConfig) -> Report:
         checks = _suite_limit_product(group, mus, tol, rng)
     elif config.command == "fuzz":
         sigmas = _resolve_sigmas("gen:nonpd", group, config.count, rng, tol)
-        checks = _suite_fuzz(group, sigmas, tol)
+        checks = _suite_verify(group, sigmas, tol)
     else:
         raise ValueError(f"unknown command {config.command!r}")
     checks.sort(key=lambda c: c.name)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import GroupTable, SchemaError, Subgroup, characters, generated_subgroup
-from .linalg import DEFAULT_TOL, Tolerances
+from .linalg import DEFAULT_TOL, Tolerances, diagonal_cutoff, psd_eigh
 
 
 class ToleranceMisconfiguration(ValueError):
@@ -115,15 +115,10 @@ def gram_matrix(sigma: GroupFunction) -> np.ndarray:
 
 def is_positive_definite(sigma: GroupFunction,
                          tol: Tolerances = DEFAULT_TOL) -> tuple[bool, PDWitness]:
-    """PSD test on the Gram matrix K[x][y] = sigma(x^-1 y)."""
+    """PSD test (linalg.psd_eigh) on the Gram matrix K[x][y] = sigma(x^-1 y)."""
     k = gram_matrix(sigma)
-    scale = max(1.0, float(np.abs(k).max()))
-    hermitian = float(np.abs(k - k.conj().T).max()) <= tol.entry_tol * scale
-    eigs = np.linalg.eigvalsh((k + k.conj().T) / 2)
-    min_eig = float(eigs.min())
-    top = max(float(np.abs(eigs).max()), 1.0)
-    ok = hermitian and min_eig >= -tol.rank_tol * top
-    return ok, PDWitness(k, min_eig)
+    ok, eigs, _ = psd_eigh(k, tol)
+    return ok, PDWitness(k, float(eigs.min()))
 
 
 def in_p1(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -134,14 +129,22 @@ def in_p1(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 
 def level_set_one(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL):
-    """{x : |sigma(x) - 1| <= eq_tol}.
+    """{x : |sigma(x) - 1| <= eq_tol}.  The multiplier action's fixed points
+    read sigma(x) = 1 at linalg.diagonal_cutoff, so an x the two tests decide
+    differently raises ToleranceMisconfiguration.
 
     For sigma in P1(G) the level set is verified to be a subgroup and returned
     as one; otherwise a plain frozenset of indices is returned.
     """
-    members = frozenset(
-        int(x) for x in np.flatnonzero(np.abs(sigma.values - 1.0) <= tol.eq_tol)
-    )
+    dist = np.abs(sigma.values - 1.0)
+    cut = diagonal_cutoff(sigma.values, tol)
+    split = np.flatnonzero((dist <= tol.eq_tol) != (dist <= cut))
+    if split.size:
+        x = int(split[0])
+        raise ToleranceMisconfiguration(
+            f"|sigma({x}) - 1| = {dist[x]:.3g} reads as sigma = 1 at only one of "
+            f"eq_tol={tol.eq_tol:g} and the rank cutoff {cut:.3g}")
+    members = frozenset(int(x) for x in np.flatnonzero(dist <= tol.eq_tol))
     if in_p1(sigma, tol):
         try:
             return Subgroup(sigma.group, tuple(members))

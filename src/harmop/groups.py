@@ -8,9 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# |G|^4 superoperator work grows fast; construction itself is capped here.
+# construction is capped here; |G|^4 work has its own cap, linalg.SUPEROP_CAP
 ORDER_CAP = 120
-SUPEROP_CAP = 24
 
 
 class SchemaError(ValueError):

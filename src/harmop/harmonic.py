@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     Tolerances,
     commutant,
+    diagonal_cutoff,
     double_commutant,
     inclusion_residual,
     null_space,
@@ -32,6 +33,7 @@ from .linalg import (
 )
 from .actions import (
     Superoperator,
+    _operator,
     bullet,
     displacement_table,
     left_regular,
@@ -232,9 +234,7 @@ def limit_product(mode: str, a, b, mu: Measure,
             out[stripes] = average(t_mat[stripes])
             return out
 
-        factors = (np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-        if any(f.shape != (g.order, g.order) for f in factors):
-            raise ValueError(f"operator shapes do not match group order {g.order}")
+        factors = (_operator(g, a), _operator(g, b))
         product = factors[0] @ factors[1]
     else:
         raise ValueError(f"mode must be 'function' or 'operator', got {mode!r}")
@@ -284,9 +284,9 @@ def bullet_closure_residual(group: GroupTable, ideal: Subspace,
 def _schur_masks(action: Superoperator, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The pre-annihilator |m^T - 1| > c and the fixed points |m - 1| <= c of
     a Schur map with mask m, as boolean masks over the matrix units, at the
-    cutoff c = rank_tol * max(1, max|m|) that the SVD route applies to the
-    dense map, which is diagonal."""
-    cut = tol.rank_tol * max(1.0, float(np.abs(action.mask).max()))
+    cutoff c = diagonal_cutoff(m) that the SVD route applies to the dense map,
+    which is diagonal."""
+    cut = diagonal_cutoff(action.mask, tol)
     return np.abs(action.pre_adjoint().mask - 1.0) > cut, np.abs(action.mask - 1.0) <= cut
 
 

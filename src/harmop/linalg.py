@@ -3,7 +3,8 @@
 Every rank decision in the package goes through one rank-revealing
 decomposition (SVD, or Hermitian eigendecomposition for PSD tests) with the
 threshold rank_tol * largest singular value.  Matrices embedded as ambient
-vectors are always vectorized row-major.
+vectors are always vectorized row-major.  The order cap, the PSD test and
+the cutoff that decides sigma(x) = 1 live here once each.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import SUPEROP_CAP
+# |G|^4 work: commutator stacks, dense superoperators, the doubled space
+SUPEROP_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,32 @@ class LinAlgContractError(ValueError):
 
 class SizeCapError(ValueError):
     """The group is too large for a commutant or doubled-space computation."""
+
+
+def check_cap(n: int, what: str) -> None:
+    """Raise SizeCapError for order n above SUPEROP_CAP, before any n^4 array
+    is allocated; ``what`` names the computation in the message."""
+    if n > SUPEROP_CAP:
+        raise SizeCapError(f"{what} capped at order {SUPEROP_CAP}, got {n}")
+
+
+def diagonal_cutoff(values, tol: Tolerances = DEFAULT_TOL) -> float:
+    """rank_tol * max(1, max|values|): the cutoff at which an SVD reads an
+    entry of a diagonal map with these values (or an eigenvalue of a spectrum)
+    as zero.  So |sigma(x) - 1| <= diagonal_cutoff(sigma) is sigma(x) = 1 as
+    the fixed points of the multiplier action see it."""
+    return tol.rank_tol * max(1.0, float(np.abs(values).max(initial=0.0)))
+
+
+def psd_eigh(k_mat, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, np.ndarray, np.ndarray]:
+    """The PSD test: K is Hermitian within entry_tol * max(1, max|K|) and the
+    smallest eigenvalue of its Hermitian part is at least -diagonal_cutoff of
+    the spectrum.  Returns the verdict and the eigenvalues and eigenvectors of
+    the Hermitian part (K + K*) / 2."""
+    scale = max(1.0, float(np.abs(k_mat).max(initial=0.0)))
+    hermitian = float(np.abs(k_mat - k_mat.conj().T).max(initial=0.0)) <= tol.entry_tol * scale
+    w, vecs = np.linalg.eigh((k_mat + k_mat.conj().T) / 2)
+    return hermitian and float(w.min(initial=0.0)) >= -diagonal_cutoff(w, tol), w, vecs
 
 
 class Subspace:
@@ -153,8 +181,7 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     if not gens and n is None:
         raise ValueError("pass n for an empty generator list")
     n = gens[0].shape[0] if gens else n
-    if n > SUPEROP_CAP:
-        raise SizeCapError(f"commutants are capped at order {SUPEROP_CAP}, got {n}")
+    check_cap(n, "commutants")
     if not gens:
         return Subspace.full(n * n)
     if any(g.shape != (n, n) for g in gens):
@@ -203,28 +230,22 @@ def double_commutant(generators, n: int | None = None,
 def psd_factorize(k_mat, tol: Tolerances = DEFAULT_TOL) -> list[tuple[np.ndarray, np.ndarray]]:
     """Pairs (u_i, v_i) with K = sum_i u_i v_i^T (plain outer products).
 
-    Hermitian PSD input gets a Gram factorization from its eigendecomposition
-    (v_i = conj(u_i)); anything else falls back to an SVD rank decomposition.
+    Input that passes psd_eigh gets a Gram factorization from its
+    eigendecomposition (v_i = conj(u_i)); anything else an SVD one.
     """
     k_mat = np.asarray(k_mat, dtype=complex)
     n = k_mat.shape[0]
     if not np.all(np.isfinite(k_mat)):
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.abs(k_mat).max()) if k_mat.size else 0.0)
-    hermitian = float(np.abs(k_mat - k_mat.conj().T).max()) <= tol.entry_tol * scale
     pairs: list[tuple[np.ndarray, np.ndarray]] = []
-    if hermitian:
-        w, vecs = np.linalg.eigh((k_mat + k_mat.conj().T) / 2)
-        top = float(np.abs(w).max()) if w.size else 0.0
-        if w.size == 0 or w.min() >= -tol.rank_tol * max(top, 1.0):
-            for lam, col in zip(w, vecs.T):
-                if lam > tol.rank_tol * max(top, 1.0):
-                    u = np.sqrt(lam) * col
-                    pairs.append((u, u.conj()))
-            hermitian = True
-        else:
-            hermitian = False
-    if not hermitian:
+    psd, w, vecs = psd_eigh(k_mat, tol)
+    if psd:
+        cutoff = diagonal_cutoff(w, tol)
+        for lam, col in zip(w, vecs.T):
+            if lam > cutoff:
+                u = np.sqrt(lam) * col
+                pairs.append((u, u.conj()))
+    else:
         u, s, vh = np.linalg.svd(k_mat)
         cutoff = tol.rank_tol * (s[0] if s.size else 0.0)
         # K = U diag(s) V^H, and the rows of vh are already the conjugated
@@ -233,6 +254,7 @@ def psd_factorize(k_mat, tol: Tolerances = DEFAULT_TOL) -> list[tuple[np.ndarray
             if sigma > cutoff:
                 pairs.append((sigma * ucol, vrow))
     recon = sum((np.outer(u, v) for u, v in pairs), np.zeros((n, n), dtype=complex))
-    if float(np.abs(recon - k_mat).max()) > tol.entry_tol * scale:
+    scale = max(1.0, float(np.abs(k_mat).max(initial=0.0)))
+    if float(np.abs(recon - k_mat).max(initial=0.0)) > tol.entry_tol * scale:
         raise LinAlgContractError("factorization residual above entry tolerance")
     return pairs

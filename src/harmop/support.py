@@ -15,7 +15,7 @@ import numpy as np
 
 from .groups import GroupTable
 from .linalg import DEFAULT_TOL, LinAlgContractError, Subspace, Tolerances, null_space
-from .actions import displacement_table
+from .actions import _operator, displacement_table
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class SupportSet:
 def operator_support(group: GroupTable, t_mat: np.ndarray,
                      tol: Tolerances = DEFAULT_TOL) -> SupportSet:
     """supp T = {a b^-1 : |T[a][b]| > entry_tol}."""
-    t_mat = np.asarray(t_mat, dtype=complex)
+    t_mat = _operator(group, t_mat)
     disp = displacement_table(group)
     members = np.unique(disp[np.abs(t_mat) > tol.entry_tol])
     return SupportSet(group, tuple(int(x) for x in members), tol.entry_tol)
@@ -51,7 +51,7 @@ def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
     functions to matrices; the hull is the common zero set of the ideal and
     always equals operator_support(T).
     """
-    t_mat = np.asarray(t_mat, dtype=complex)
+    t_mat = _operator(group, t_mat)
     n = group.order
     disp = displacement_table(group)
     # column x of the map: the part of T sitting on displacement x

@@ -15,8 +15,8 @@ from harmop.functions import (
     uniform_measure,
 )
 from harmop import actions
+from harmop.linalg import SizeCapError, commutant
 from harmop.actions import (
-    SizeCapError,
     Superoperator,
     bullet,
     bullet_via_comultiplication,
@@ -494,13 +494,16 @@ DOUBLED_SPACE_ENTRY_POINTS = {
     "fundamental_unitary": lambda m: fundamental_unitary(Z25),
     "dual_unitary": lambda m: dual_unitary(Z25),
     "flip_unitary": lambda m: flip_unitary(Z25),
+    "Superoperator.dense": lambda m: Superoperator(Z25, "schur", mask=m).dense(),
+    "commutant": lambda m: commutant([m]),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(DOUBLED_SPACE_ENTRY_POINTS))
 def test_doubled_space_caps_at_order_25(entry):
-    """Each doubled-space entry point refuses order 25 before allocating: each
-    would form an n^2 x n^2 array of at least 8 * 25^4 bytes (3.1 MB)."""
+    """Each doubled-space entry point, the dense superoperator and the
+    commutant refuse order 25 before allocating: each would form an
+    n^2 x n^2 array of at least 8 * 25^4 bytes (3.1 MB)."""
     mat = np.eye(25, dtype=complex)
     tracemalloc.start()
     try:

@@ -7,7 +7,7 @@ import pytest
 from harmop.cli import COMMANDS, CheckRecord, Report, RunConfig, emit, main, parse_report, run
 from harmop.groups import cyclic_group, symmetric_group
 from harmop.functions import function_to_json, indicator_function, measure_to_json
-from harmop.functions import Measure
+from harmop.functions import GroupFunction, Measure
 from test_groups import intercalate_swapped
 
 
@@ -248,27 +248,22 @@ def test_fuzz_runs_the_three_routes_once_per_sigma(monkeypatch):
     monkeypatch.setattr(cli, "verify_main_theorem", counting)
     report = run(RunConfig(command="fuzz", group="S3", count=3, seed=0))
     assert sorted(calls) == ["nonpd0", "nonpd1", "nonpd2"]
-    strict = [c for c in report.checks if c.name == "fuzz/strict_inclusion_candidates"]
-    assert len(strict) == 1 and strict[0].passed and strict[0].metric == 0.0
+    assert report.passed
 
 
-def test_strict_inclusion_candidate_fails_the_fuzz_check(monkeypatch, capsys):
-    import dataclasses
-
-    import harmop.cli as cli
-
-    original = cli.verify_main_theorem
-
-    def shrunk(sigma, tol, parameter="sigma"):
-        report = original(sigma, tol, parameter=parameter)
-        dims = dict(report.dims, fixed_points=report.dims["stripe_span"] - 1)
-        return dataclasses.replace(report, dims=dims)
-
-    monkeypatch.setattr(cli, "verify_main_theorem", shrunk)
-    assert main(["fuzz", "--group", "S3", "--count", "2", "--seed", "0"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    strict = [c for c in checks if c["name"] == "fuzz/strict_inclusion_candidates"]
-    assert strict == [dict(strict[0], passed=False, metric=2.0)]
+@pytest.mark.parametrize("command", ["ideals", "verify"])
+def test_sigma_between_eq_tol_and_the_rank_cutoff_exits_one(command, tmp_path, capsys):
+    # positive definite, and |sigma(x) - 1| is 3.5e-9 to 5e-9 off e: inside
+    # the default eq_tol (1e-8) and outside the rank cutoff (1e-9)
+    t = 2.5e-9
+    sigma = GroupFunction(cyclic_group(4), (1 - t) + t * 1j ** np.arange(4))
+    path = tmp_path / "band.json"
+    path.write_text(json.dumps(function_to_json(sigma)))
+    argv = [command, "--group", "Z4", "--sigma", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "sigma(1)" in err and "eq_tol=1e-08" in err and "rank cutoff 1e-09" in err
+    assert main(argv + ["--tol", "1e-10"]) == 0
 
 
 @pytest.mark.parametrize("error", ["LinAlgContractError", "ToleranceMisconfiguration"])

@@ -23,6 +23,17 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(imported - used)
 
 
+def test_linalg_imports_no_harmop_module():
+    """linalg owns the numerical guards every other module calls, so it sits
+    below all of them."""
+    tree = ast.parse((ROOT / "src" / "harmop" / "linalg.py").read_text())
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for a in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.startswith((".", "harmop"))] == []
+
+
 def test_no_unused_imports_in_package_or_tests():
     files = sorted((ROOT / "src" / "harmop").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     assert len(files) > 10

@@ -3,9 +3,10 @@ import pytest
 
 import harmop.support as support
 from harmop.groups import cyclic_group, dihedral_group, generated_subgroup, symmetric_group
-from harmop.functions import GroupFunction, indicator_function
+from harmop.functions import GroupFunction, indicator_function, uniform_measure
 from harmop.linalg import DEFAULT_TOL, LinAlgContractError, Subspace
 from harmop.actions import displacement_table, left_regular, mult_op, theta_hat
+from harmop.harmonic import limit_product
 from harmop.support import annihilator_ideal, operator_support
 
 from spans import in_span
@@ -167,3 +168,13 @@ def test_ideal_check_matches_point_mass_loop(monkeypatch, span):
     else:
         with pytest.raises(LinAlgContractError):
             annihilator_ideal(Z4, t_mat)
+
+
+@pytest.mark.parametrize("call", [
+    operator_support,
+    annihilator_ideal,
+    lambda g, t: limit_product("operator", t, t, uniform_measure(g)),
+], ids=["operator_support", "annihilator_ideal", "limit_product"])
+def test_operator_of_the_wrong_shape_is_a_value_error(call):
+    with pytest.raises(ValueError, match="group order 4"):
+        call(cyclic_group(4), np.eye(3))

@@ -11,7 +11,8 @@ import json
 import sys
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from .groups import (
     GroupTable,
     GroupTableError,
     SchemaError,
+    Subgroup,
     all_subgroups,
     builtin_group,
     generated_subgroup,
@@ -32,7 +34,6 @@ from .functions import (
     constant_function,
     delta_function,
     function_from_json,
-    in_p1,
     level_set_one,
     measure_from_json,
     uniform_measure,
@@ -65,11 +66,16 @@ COMMANDS = ("verify", "support", "fixed-points", "ideals", "limit-product", "fuz
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One verdict: passed iff metric <= tolerance, so a NaN metric fails."""
+
     name: str
     statement: str
-    passed: bool
+    passed: bool = field(init=False)
     metric: float
     tolerance: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "passed", bool(self.metric <= self.tolerance))
 
 
 @dataclass(frozen=True)
@@ -147,53 +153,45 @@ def _resolve_mus(spec: str, group: GroupTable, count: int,
 # ---------------------------------------------------------------------------
 # suites
 
-def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> list[CheckRecord]:
-    checks = []
+def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> Iterator[CheckRecord]:
     for k, sub in enumerate(all_subgroups(group)):
         report = invariant_algebra(sub, tol)
-        checks.append(CheckRecord(
+        yield CheckRecord(
             name=f"verify/subgroup{k}(order {len(sub)})/commutant_identity",
             statement="the commutant of the subgroup translations together with the "
                       "diagonal is the functions constant on subgroup orbits",
-            passed=report.passed,
-            metric=report.distance,
+            metric=report.metric,
             tolerance=tol.eq_tol,
-        ))
+        )
     for name, sigma in sigmas:
         report = verify_main_theorem(sigma, tol, parameter=name)
+        metric = float(np.max(list(report.distances.values())))  # NaN propagates
         if report.p1_mode:
-            dims = set(report.dims.values())
-            checks.append(CheckRecord(
+            yield CheckRecord(
                 name=f"verify/{name}/dimension",
                 statement="dim of the harmonic-operator algebra is |G| * |level set| on all three routes",
-                passed=dims == {report.expected_dim},
                 metric=float(max(abs(d - report.expected_dim) for d in report.dims.values())),
                 tolerance=0.0,
-            ))
-            metric = max(report.distances.values())
-            checks.append(CheckRecord(
+            )
+            yield CheckRecord(
                 name=f"verify/{name}/three_routes",
                 statement="fixed points of the multiplier action = algebra generated by "
                           "level-set translations and the diagonal = level-set stripe span",
-                passed=metric <= tol.eq_tol,
-                metric=float(metric),
+                metric=metric,
                 tolerance=tol.eq_tol,
-            ))
+            )
         else:
-            checks.append(CheckRecord(
+            yield CheckRecord(
                 name=f"verify/{name}/inclusions",
                 statement="bimodule span of level-set translations sits inside the fixed "
                           "points, which sit inside the level-set stripe span",
-                passed=max(report.distances.values()) <= tol.eq_tol,
-                metric=float(max(report.distances.values())),
+                metric=metric,
                 tolerance=tol.eq_tol,
-            ))
-    return checks
+            )
 
 
 def _suite_support(group: GroupTable, count: int, rng: np.random.Generator,
-                   tol: Tolerances) -> list[CheckRecord]:
-    checks = []
+                   tol: Tolerances) -> Iterator[CheckRecord]:
     n = group.order
     hull_bad = 0
     law_bad = 0.0
@@ -208,16 +206,16 @@ def _suite_support(group: GroupTable, count: int, rng: np.random.Generator,
         supp_masked = set(operator_support(group, masked, tol))
         supp_phi = set(int(x) for x in np.flatnonzero(np.abs(phi.values) > tol.entry_tol))
         law_bad += len(supp_masked - (supp_phi & supp))
-    checks.append(CheckRecord(
+    yield CheckRecord(
         name="support/hull_duality",
         statement="hull of the annihilator ideal equals the displacement support, exactly",
-        passed=hull_bad == 0, metric=float(hull_bad), tolerance=0.0,
-    ))
-    checks.append(CheckRecord(
+        metric=float(hull_bad), tolerance=0.0,
+    )
+    yield CheckRecord(
         name="support/product_law",
         statement="supp of the masked operator is contained in supp(phi) ∩ supp(T)",
-        passed=law_bad == 0, metric=float(law_bad), tolerance=0.0,
-    ))
+        metric=float(law_bad), tolerance=0.0,
+    )
     mult_bad = 0
     for _ in range(count):
         f = GroupFunction(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
@@ -227,27 +225,25 @@ def _suite_support(group: GroupTable, count: int, rng: np.random.Generator,
         int(tuple(operator_support(group, left_regular(group, x), tol)) != (x,))
         for x in range(group.order)
     )
-    checks.append(CheckRecord(
+    yield CheckRecord(
         name="support/multiplication_operators",
         statement="supp M_f = {e} for nonzero f",
-        passed=mult_bad == 0, metric=float(mult_bad), tolerance=0.0,
-    ))
-    checks.append(CheckRecord(
+        metric=float(mult_bad), tolerance=0.0,
+    )
+    yield CheckRecord(
         name="support/translations",
         statement="supp lambda(x) = {x}",
-        passed=lam_bad == 0, metric=float(lam_bad), tolerance=0.0,
-    ))
-    zero_ok = len(operator_support(group, np.zeros((group.order, group.order)), tol)) == 0
-    checks.append(CheckRecord(
+        metric=float(lam_bad), tolerance=0.0,
+    )
+    zero_support = operator_support(group, np.zeros((group.order, group.order)), tol)
+    yield CheckRecord(
         name="support/empty_iff_zero",
         statement="supp T is empty iff T vanishes at the entry tolerance",
-        passed=zero_ok, metric=0.0 if zero_ok else 1.0, tolerance=0.0,
-    ))
-    return checks
+        metric=float(len(zero_support)), tolerance=0.0,
+    )
 
 
-def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list[CheckRecord]:
-    checks = []
+def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> Iterator[CheckRecord]:
     n = group.order
 
     def duality(name: str, phi, fixed) -> CheckRecord:
@@ -255,98 +251,92 @@ def _suite_fixed_points(group: GroupTable, mus, sigmas, tol: Tolerances) -> list
         return CheckRecord(
             name=f"fixed-points/{name}/duality_dims",
             statement="fixed points and pre-annihilator have complementary dimensions",
-            passed=fixed.dim + ideal.dim == n * n,
             metric=float(abs(fixed.dim + ideal.dim - n * n)), tolerance=0.0,
         )
 
     for name, mu in mus:
         space = harmonic_functions(mu, tol)
         index = n // len(generated_subgroup(group, mu.support(tol)))
-        checks.append(CheckRecord(
+        yield CheckRecord(
             name=f"fixed-points/{name}/harmonic_dim",
             statement="dim of harmonic functions = index of the subgroup generated by supp(mu)",
-            passed=space.dim == index, metric=float(abs(space.dim - index)), tolerance=0.0,
-        ))
+            metric=float(abs(space.dim - index)), tolerance=0.0,
+        )
         action = theta(mu)
         fixed = fixed_points(action, tol)
         if index == 1:
             # VN(G) = span lambda(G), the Chu-Lau space of the constant sigma = 1
             vn = harmonic_functionals(constant_function(group), tol)
             dist = projector_distance(fixed, vn)
-            checks.append(CheckRecord(
+            yield CheckRecord(
                 name=f"fixed-points/{name}/crossed_product_degenerate",
                 statement="Fix of the convolution action = algebra of left translations, "
                           "for adapted mu",
-                passed=dist <= tol.eq_tol, metric=dist, tolerance=tol.eq_tol,
-            ))
-        checks.append(duality(name, action, fixed))
+                metric=dist, tolerance=tol.eq_tol,
+            )
+        yield duality(name, action, fixed)
     for name, sigma in sigmas:
         action = theta_hat(sigma)
-        checks.append(duality(name, action, fixed_points(action, tol)))
-    return checks
+        yield duality(name, action, fixed_points(action, tol))
 
 
-def _suite_ideals(group: GroupTable, sigmas, mus, tol: Tolerances) -> list[CheckRecord]:
-    checks = []
+def _suite_ideals(group: GroupTable, sigmas, mus, tol: Tolerances) -> Iterator[CheckRecord]:
     n = group.order
     for name, sigma in sigmas:
         report = linfty_perp_suite(sigma, tol)
-        checks.append(CheckRecord(
+        yield CheckRecord(
             name=f"ideals/{name}/suite",
             statement="pre-annihilator orthogonality, the inclusion chain into the "
                       "traceless elements, predual-product closure, and the diagonal "
                       "quotient product all hold",
-            passed=report.passed,
             metric=report.worst_residual,
             tolerance=tol.eq_tol,
-        ))
-        if in_p1(sigma, tol):
-            expected = n * n - n * len(level_set_one(sigma, tol))
-            checks.append(CheckRecord(
+        )
+        level = level_set_one(sigma, tol)
+        if isinstance(level, Subgroup):  # sigma in P1
+            expected = n * n - n * len(level)
+            yield CheckRecord(
                 name=f"ideals/{name}/dimension",
                 statement="dim of the pre-annihilator ideal = |G|^2 - |G| * |level set|",
-                passed=report.dim_ideal == expected,
                 metric=float(abs(report.dim_ideal - expected)), tolerance=0.0,
-            ))
+            )
     for name, mu in mus:
         ideal = willis_ideal(mu, tol)
         space = harmonic_functions(mu, tol)
         pair = ideal.basis.T @ space.basis.conj()  # bilinear pairing sum f(x) phi(x)
-        metric = float(np.abs(pair).max()) if pair.size else 0.0
-        checks.append(CheckRecord(
+        complement = ideal.dim + space.dim == n
+        metric = float(np.abs(pair).max(initial=0.0)) if complement else np.inf
+        yield CheckRecord(
             name=f"ideals/{name}/willis",
             statement="the ideal of increments f - f*mu annihilates the harmonic "
                       "functions and has complementary dimension",
-            passed=metric <= tol.eq_tol and ideal.dim + space.dim == n,
             metric=metric, tolerance=tol.eq_tol,
-        ))
-    return checks
+        )
 
 
 def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
-                         rng: np.random.Generator) -> list[CheckRecord]:
-    checks = []
+                         rng: np.random.Generator) -> Iterator[CheckRecord]:
     for name, mu in mus:
         c, d = rng.standard_normal(2)
         limit = limit_product("function", constant_function(group, c),
                               constant_function(group, d), mu, tol)
         metric = float(np.abs(limit.values - c * d).max())
-        checks.append(CheckRecord(
+        yield CheckRecord(
             name=f"limit-product/{name}/constants",
             statement="the ergodic limit of the product of two constant functions is "
                       "the product of the constants",
-            passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
-        ))
+            metric=metric, tolerance=tol.eq_tol,
+        )
         s_mat = random_translation_combination(group, rng)
         t_mat = random_translation_combination(group, rng)
         metric = float(np.abs(limit_product("operator", s_mat, t_mat, mu, tol)
                               - s_mat @ t_mat).max())
-        checks.append(CheckRecord(
+        yield CheckRecord(
             name=f"limit-product/{name}/operator_mode",
             statement="the operator-mode ergodic limit of the product of two translation "
                       "combinations, which every Theta(mu) fixes, is their plain product",
-            passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
-        ))
+            metric=metric, tolerance=tol.eq_tol,
+        )
     f = GroupFunction(group, rng.standard_normal(group.order))
     g_fn = GroupFunction(group, rng.standard_normal(group.order))
     # random f, g on purpose: the uniform measure's harmonic functions are constants
@@ -354,12 +344,11 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
         warnings.filterwarnings("ignore", r".* factor is not harmonic", UserWarning)
         limit = limit_product("function", f, g_fn, uniform_measure(group), tol)
     metric = float(np.abs(limit.values - np.mean(f.values * g_fn.values)).max())
-    checks.append(CheckRecord(
+    yield CheckRecord(
         name="limit-product/uniform/mean",
         statement="the ergodic limit under the uniform measure is the mean of f*g",
-        passed=metric <= tol.eq_tol, metric=metric, tolerance=tol.eq_tol,
-    ))
-    return checks
+        metric=metric, tolerance=tol.eq_tol,
+    )
 
 
 def run(config: RunConfig) -> Report:
@@ -367,7 +356,6 @@ def run(config: RunConfig) -> Report:
     tol = config.tolerances()
     rng = np.random.default_rng(config.seed)
     group = _resolve_group(config.group)
-    checks: list[CheckRecord]
     if config.command == "verify":
         sigmas = _resolve_sigmas(config.sigma, group, config.count, rng, tol)
         checks = _suite_verify(group, sigmas, tol)
@@ -389,7 +377,7 @@ def run(config: RunConfig) -> Report:
         checks = _suite_verify(group, sigmas, tol)
     else:
         raise ValueError(f"unknown command {config.command!r}")
-    checks.sort(key=lambda c: c.name)
+    checks = sorted(checks, key=lambda c: c.name)
     wall = time.perf_counter() - start
     return Report(config=asdict(config), checks=checks, wall_time_s=wall)
 
@@ -424,13 +412,17 @@ def emit(report: Report, fmt: str) -> str:
 
 
 def parse_report(text: str) -> Report:
-    """Inverse of emit(..., 'json')."""
+    """Inverse of emit(..., 'json').  Each record is rebuilt from its name,
+    statement, metric and tolerance; a stored verdict that disagrees with
+    them raises ValueError."""
     data = json.loads(text)
-    return Report(
-        config=data["config"],
-        checks=[CheckRecord(**c) for c in data["checks"]],
-        wall_time_s=data["wall_time_s"],
-    )
+    checks = [CheckRecord(c["name"], c["statement"], c["metric"], c["tolerance"])
+              for c in data["checks"]]
+    for record, entry in zip(checks, data["checks"]):
+        if record.passed != entry["passed"]:
+            raise ValueError(f"{record.name}: stored verdict {entry['passed']} disagrees "
+                             f"with metric {record.metric!r} <= {record.tolerance!r}")
+    return Report(config=data["config"], checks=checks, wall_time_s=data["wall_time_s"])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -21,6 +21,17 @@ class ToleranceMisconfiguration(ValueError):
     """A verified structural fact failed at the configured tolerances."""
 
 
+def _group_vector(group: GroupTable, entries, what: str) -> np.ndarray:
+    """A read-only complex copy of one finite entry per group element."""
+    vec = np.array(entries, dtype=complex)
+    if vec.shape != (group.order,):
+        raise ValueError(f"expected {group.order} {what}, got shape {vec.shape}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"{what} are non-finite at {np.flatnonzero(~np.isfinite(vec)).tolist()}")
+    vec.setflags(write=False)
+    return vec
+
+
 @dataclass(frozen=True)
 class GroupFunction:
     """A complex-valued function on the group, as its value vector."""
@@ -29,12 +40,7 @@ class GroupFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.shape != (self.group.order,):
-            raise ValueError(f"expected {self.group.order} values, got shape {vals.shape}")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _group_vector(self.group, self.values, "values"))
 
     def __call__(self, x: int) -> complex:
         return complex(self.values[x])
@@ -48,12 +54,7 @@ class Measure:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=complex)
-        if w.shape != (self.group.order,):
-            raise ValueError(f"expected {self.group.order} weights, got shape {w.shape}")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _group_vector(self.group, self.weights, "weights"))
 
     def is_probability(self, tol: Tolerances = DEFAULT_TOL) -> bool:
         w = self.weights
@@ -133,8 +134,8 @@ def level_set_one(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL):
     read sigma(x) = 1 at linalg.diagonal_cutoff, so an x the two tests decide
     differently raises ToleranceMisconfiguration.
 
-    For sigma in P1(G) the level set is verified to be a subgroup and returned
-    as one; otherwise a plain frozenset of indices is returned.
+    Returns a Subgroup exactly when sigma is in P1(G), the level set verified
+    to be one; otherwise a plain frozenset.  Callers read P1 off the type.
     """
     dist = np.abs(sigma.values - 1.0)
     cut = diagonal_cutoff(sigma.values, tol)
@@ -165,9 +166,9 @@ def is_adapted_measure(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> bool:
 
 def is_adapted_pd(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> bool:
     """True iff sigma in P1(G) has level set {e}."""
-    if not in_p1(sigma, tol):
-        raise ValueError("adaptedness is defined for positive definite sigma with sigma(e) = 1")
     level = level_set_one(sigma, tol)
+    if not isinstance(level, Subgroup):
+        raise ValueError("adaptedness is defined for positive definite sigma with sigma(e) = 1")
     return set(level) == {sigma.group.identity}
 
 

@@ -15,7 +15,6 @@ from .functions import (
     GroupFunction,
     Measure,
     convolution_matrix,
-    in_p1,
     level_set_one,
     same_group,
 )
@@ -63,13 +62,14 @@ def harmonic_functions(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> Subspace:
 
 def harmonic_functionals(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Fixed points of the canonical multiplier action inside the span of the
-    left translations: span{lambda(x) : sigma(x) = 1}, vectorized."""
+    left translations: span{lambda(x) : sigma(x) = 1}, vectorized.  The lambda(x)
+    have disjoint supports, so the vec(lambda(x)) / sqrt(n) are orthonormal."""
     g = sigma.group
-    level = sorted(level_set_one(sigma, tol))
-    if not level:
-        return Subspace.zero(g.order ** 2)
-    rows = [left_regular(g, x).reshape(-1) for x in level]
-    return Subspace.from_span(np.stack(rows), tol)
+    n = g.order
+    level = np.array(sorted(level_set_one(sigma, tol)), dtype=np.intp)
+    basis = np.zeros((n * n, len(level)), dtype=complex)
+    basis[g.table[level] * n + np.arange(n), np.arange(len(level))[:, None]] = 1 / math.sqrt(n)
+    return Subspace(n * n, basis)
 
 
 def harmonic_operators(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -125,7 +125,7 @@ class HarmonicReport:
 
     @property
     def passed(self) -> bool:
-        if any(d > self.eq_tol for d in self.distances.values()):
+        if not all(d <= self.eq_tol for d in self.distances.values()):  # NaN fails
             return False
         if self.expected_dim is not None:
             return all(d == self.expected_dim for d in self.dims.values())
@@ -147,8 +147,9 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
     """
     g = sigma.group
     n = g.order
-    level = tuple(int(x) for x in sorted(level_set_one(sigma, tol)))
-    p1 = in_p1(sigma, tol)
+    level_set = level_set_one(sigma, tol)
+    p1 = isinstance(level_set, Subgroup)
+    level = tuple(int(x) for x in sorted(level_set))
     fixed = harmonic_operators(sigma, tol)
     stripe = _stripe_span(g, level)
     if p1:
@@ -319,8 +320,11 @@ class IdealSuiteReport:
 
     @property
     def worst_residual(self) -> float:
-        """The largest residual; NaN if any residual is NaN."""
+        """The largest residual, inf if the ideal and the fixed points do not
+        have complementary dimensions; NaN if any residual is NaN."""
+        complement = self.dim_ideal + self.dim_fixed == self.dim_traceless + 1
         return float(np.max([
+            0.0 if complement else math.inf,
             self.orthogonality_residual,
             self.ideal_in_perp_residual or 0.0,
             self.perp_in_traceless_residual,
@@ -331,7 +335,7 @@ class IdealSuiteReport:
 
     @property
     def passed(self) -> bool:
-        """The dimension complement and every residual within eq_tol.
+        """worst_residual <= eq_tol: the dimension complement and every residual.
 
         On a Schur mask three of these hold by construction and cannot fail:
         the dimension complement (the ideal and the fixed points are
@@ -343,8 +347,7 @@ class IdealSuiteReport:
         Ideal in perp fails only on a pre-adjoint whose diagonal is not the
         mask's, since sigma(e) = 1 is read off the fixed mask at the same
         cutoff as the ideal."""
-        return (self.dim_ideal + self.dim_fixed == self.dim_traceless + 1
-                and self.worst_residual <= self.eq_tol)
+        return self.worst_residual <= self.eq_tol
 
 
 def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> IdealSuiteReport:
@@ -366,13 +369,11 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     closure (_stripe_cut).  bullet is entrywise in rho and the E_gg have
     disjoint supports, so the quotient checks every pair E_ff . E_gg in one
     product E_ff . I against Tr(E_ff) I.  Nothing larger than n^3 entries is
-    formed, so the suite has no size cap of its own; sigma must be finite.
+    formed, so the suite has no size cap of its own.
     IdealSuiteReport.passed says which of these checks can fail.
     """
     g = sigma.group
     n = g.order
-    if not np.all(np.isfinite(sigma.values)):
-        raise ValueError("matrix has non-finite entries")
     ideal, fixed = _schur_masks(theta_hat(sigma), tol)
     diagonal = np.eye(n, dtype=bool)
     perp = ~diagonal
@@ -411,11 +412,15 @@ class InvariantAlgebraReport:
     eq_tol: float
 
     @property
+    def metric(self) -> float:
+        """The projector distance, or inf if the invariant functions, the
+        orbits and the commutant do not all have the same dimension."""
+        agree = self.dim_invariant == self.orbit_count == self.dim_commutant
+        return self.distance if agree else math.inf
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.distance <= self.eq_tol
-            and self.dim_invariant == self.orbit_count == self.dim_commutant
-        )
+        return self.metric <= self.eq_tol
 
 
 def invariant_algebra(subgroup: Subgroup, tol: Tolerances = DEFAULT_TOL) -> InvariantAlgebraReport:
@@ -424,11 +429,9 @@ def invariant_algebra(subgroup: Subgroup, tol: Tolerances = DEFAULT_TOL) -> Inva
     The two must coincide, with dimension the number of orbits."""
     g = subgroup.parent
     n = g.order
-    cosets = subgroup.right_cosets()
+    cosets = np.array(subgroup.right_cosets())  # one coset per row, all of size |H|
     basis = np.zeros((n * n, len(cosets)), dtype=complex)
-    for k, coset in enumerate(cosets):
-        for y in coset:
-            basis[y * n + y, k] = 1.0 / np.sqrt(len(coset))
+    basis[cosets * (n + 1), np.arange(len(cosets))[:, None]] = 1.0 / np.sqrt(cosets.shape[1])
     invariant = Subspace(n * n, basis)
     gens = [left_regular(g, h) for h in subgroup] + _diagonal_units(n)
     comm = commutant(gens, n, tol)

@@ -110,6 +110,13 @@ class Subspace:
         return range_space(mat.T, tol)
 
 
+def _rank(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
+    """The number of singular values s (descending) above the rank cutoff
+    rank_tol * scale, where scale defaults to the largest of them."""
+    cutoff = tol.rank_tol * (scale if scale is not None else (s[0] if s.size else 0.0))
+    return int(np.sum(s > cutoff))
+
+
 def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
     """Orthonormal basis of {v : Mv ~ 0}, thresholded at rank_tol * ||M||.
 
@@ -132,9 +139,7 @@ def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
         nonzero = mat.any(axis=1)
         mat = np.linalg.qr(mat if nonzero.all() else mat[nonzero], mode="r")
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    cutoff = tol.rank_tol * (scale if scale is not None else (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    return Subspace(cols, vh[rank:].conj().T)
+    return Subspace(cols, vh[_rank(s, tol, scale):].conj().T)
 
 
 def range_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
@@ -144,9 +149,7 @@ def range_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) 
     if cols == 0:
         return Subspace.zero(rows)
     u, s, _ = np.linalg.svd(mat, full_matrices=False)
-    cutoff = tol.rank_tol * (scale if scale is not None else (s[0] if s.size else 0.0))
-    rank = int(np.sum(s > cutoff))
-    return Subspace(rows, u[:, :rank])
+    return Subspace(rows, u[:, :_rank(s, tol, scale)])
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
@@ -247,12 +250,10 @@ def psd_factorize(k_mat, tol: Tolerances = DEFAULT_TOL) -> list[tuple[np.ndarray
                 pairs.append((u, u.conj()))
     else:
         u, s, vh = np.linalg.svd(k_mat)
-        cutoff = tol.rank_tol * (s[0] if s.size else 0.0)
+        rank = _rank(s, tol)
         # K = U diag(s) V^H, and the rows of vh are already the conjugated
         # right singular vectors, so K = sum_i (s_i u_i) vh_i^T directly
-        for sigma, ucol, vrow in zip(s, u.T, vh):
-            if sigma > cutoff:
-                pairs.append((sigma * ucol, vrow))
+        pairs = [(sigma * ucol, vrow) for sigma, ucol, vrow in zip(s[:rank], u.T, vh)]
     recon = sum((np.outer(u, v) for u, v in pairs), np.zeros((n, n), dtype=complex))
     scale = max(1.0, float(np.abs(k_mat).max(initial=0.0)))
     if float(np.abs(recon - k_mat).max(initial=0.0)) > tol.entry_tol * scale:

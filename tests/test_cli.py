@@ -8,6 +8,9 @@ from harmop.cli import COMMANDS, CheckRecord, Report, RunConfig, emit, main, par
 from harmop.groups import cyclic_group, symmetric_group
 from harmop.functions import function_to_json, indicator_function, measure_to_json
 from harmop.functions import GroupFunction, Measure
+from harmop.generators import random_positive_definite
+from harmop.harmonic import verify_main_theorem
+from harmop.linalg import Subspace
 from test_groups import intercalate_swapped
 
 
@@ -201,6 +204,104 @@ def test_wrong_operator_limit_product_fails(monkeypatch, capsys):
     failed = [c["name"] for c in data["checks"] if not c["passed"]]
     assert failed == ["limit-product/adapted0/operator_mode"]
     assert data["summary"]["failed"] == 1
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("command, option", [("verify", "--sigma"), ("fixed-points", "--sigma"),
+                                             ("ideals", "--sigma"), ("limit-product", "--mu")])
+def test_non_finite_input_file_exits_two(command, option, bad, tmp_path, capsys):
+    if option == "--sigma":
+        doc = {"group": "Z4", "values": [[1.0, 0.0], [bad, 0.0], [1.0, 0.0], [1.0, 0.0]]}
+    else:
+        doc = {"group": "Z4", "weights": [0.5, bad, 0.5, 0.0]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))  # Infinity / NaN, which json reads back
+    assert main([command, "--group", "Z4", option, str(path), "--count", "1"]) == 2
+    assert "non-finite at [1]" in capsys.readouterr().err
+
+
+def test_verdict_is_metric_within_tolerance():
+    assert CheckRecord("a", "s", metric=1e-8, tolerance=1e-8).passed
+    assert not CheckRecord("a", "s", metric=2e-8, tolerance=1e-8).passed
+    assert not CheckRecord("a", "s", metric=float("nan"), tolerance=1e-8).passed
+    assert not CheckRecord("a", "s", metric=float("inf"), tolerance=1e300).passed
+    with pytest.raises(TypeError):
+        CheckRecord("a", "s", passed=True, metric=1.0, tolerance=0.0)
+
+
+def test_parse_report_rejects_an_edited_verdict():
+    data = json.loads(emit(run(RunConfig(command="support", group="Z4", count=2)), "json"))
+    data["checks"][0]["passed"] = not data["checks"][0]["passed"]
+    with pytest.raises(ValueError, match=data["checks"][0]["name"]):
+        parse_report(json.dumps(data))
+
+
+def _drop_one_basis_vector(function):
+    def short(*args, **kwargs):
+        space = function(*args, **kwargs)
+        return Subspace(space.ambient_dim, space.basis[:, 1:])
+    return short
+
+
+def test_willis_dimension_mismatch_fails_with_inf_metric(monkeypatch, capsys):
+    import harmop.cli as cli
+
+    monkeypatch.setattr(cli, "willis_ideal", _drop_one_basis_vector(cli.willis_ideal))
+    assert main(["ideals", "--group", "S3", "--count", "1"]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert [(c["name"], c["metric"]) for c in failed] == [("ideals/adapted0/willis", np.inf)]
+
+
+def test_commutant_dimension_mismatch_fails_with_inf_metric(monkeypatch, capsys):
+    import harmop.harmonic as harmonic
+
+    monkeypatch.setattr(harmonic, "commutant", _drop_one_basis_vector(harmonic.commutant))
+    assert main(["verify", "--group", "Z4", "--count", "1"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    identities = [c for c in checks if c["name"].endswith("commutant_identity")]
+    assert len(identities) == 3  # the subgroups of Z4
+    assert all(not c["passed"] and c["metric"] == np.inf for c in identities)
+    assert all(c["passed"] for c in checks if c not in identities)
+
+
+def test_nan_route_distance_fails_verify(monkeypatch, capsys):
+    import dataclasses
+    import harmop.cli as cli
+
+    original = cli.verify_main_theorem
+
+    def nan_last(*args, **kwargs):
+        report = original(*args, **kwargs)
+        *keys, last = report.distances
+        distances = {**{k: 0.0 for k in keys}, last: float("nan")}
+        return dataclasses.replace(report, distances=distances)
+
+    monkeypatch.setattr(cli, "verify_main_theorem", nan_last)
+    assert main(["verify", "--group", "Z4", "--count", "1"]) == 1
+    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["verify/pd0/three_routes"]
+    assert np.isnan(failed[0]["metric"])
+    assert not nan_last(random_positive_definite(cyclic_group(4), np.random.default_rng(0))).passed
+
+
+def test_one_psd_test_per_sigma(monkeypatch, capsys):
+    import harmop.functions as functions
+
+    sigma = random_positive_definite(symmetric_group(3), np.random.default_rng(0))
+    calls = []
+    original = functions.psd_eigh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(functions, "psd_eigh", counting)
+    assert verify_main_theorem(sigma).passed
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["ideals", "--group", "S4", "--count", "1"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_check_record_fields():

@@ -34,6 +34,7 @@ from harmop.functions import (
     measure_to_json,
     uniform_measure,
 )
+from harmop.generators import random_positive_definite, random_unit_at_identity
 
 Z4 = cyclic_group(4)
 Z6 = cyclic_group(6)
@@ -72,8 +73,6 @@ def test_shifted_delta_not_positive_definite():
 
 
 def test_pd_consequences():
-    from harmop.generators import random_positive_definite
-
     rng = np.random.default_rng(0)
     for group in (Z6, S3):
         for _ in range(5):
@@ -114,6 +113,26 @@ def test_level_set_non_p1_returns_plain_set():
     level = level_set_one(sigma)
     assert isinstance(level, frozenset)
     assert level == {0, 1}
+
+
+def test_level_set_is_a_subgroup_exactly_in_p1():
+    rng = np.random.default_rng(3)
+    sigmas = [random_positive_definite(S3, rng) for _ in range(3)]
+    sigmas += [random_unit_at_identity(S3, rng, level_set=[0, 3, 4]) for _ in range(3)]
+    sigmas += [GroupFunction(Z4, 2.0 * np.ones(4)), indicator_function(S3, A3)]
+    verdicts = [(isinstance(level_set_one(s), Subgroup), in_p1(s)) for s in sigmas]
+    assert all(a == b for a, b in verdicts)
+    assert {b for _, b in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0, np.nan)])
+def test_non_finite_values_are_rejected(bad):
+    values = np.ones(4, dtype=complex)
+    values[2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        GroupFunction(Z4, values)
+    with pytest.raises(ValueError, match="non-finite"):
+        Measure(Z4, values)
 
 
 def test_in_p1_requires_unit_value_at_identity():

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import functools
 import tracemalloc
 
@@ -20,6 +21,7 @@ from harmop.functions import (
     delta_function,
     delta_measure,
     indicator_function,
+    level_set_one,
     uniform_measure,
 )
 from harmop.linalg import (
@@ -162,6 +164,50 @@ def test_harmonic_functionals_subgroup_indicator():
     assert space.dim == 3
     algebra = double_commutant([left_regular(S3, h) for h in A3], 6)
     assert projector_distance(space, algebra) <= DEFAULT_TOL.eq_tol
+
+
+def _functionals_by_svd(sigma):
+    """Oracle for harmonic_functionals: the dense lambda(x) over the level
+    set, stacked and orthonormalized by an SVD."""
+    g = sigma.group
+    level = sorted(level_set_one(sigma))
+    if not level:
+        return Subspace.zero(g.order ** 2)
+    return Subspace.from_span(np.stack([left_regular(g, x).reshape(-1) for x in level]))
+
+
+def _orbit_span_by_loops(sub):
+    """Oracle for the coset basis of invariant_algebra: one diagonal unit
+    per coset member, weighted 1/sqrt(|coset|), in a double loop."""
+    n = sub.parent.order
+    cosets = sub.right_cosets()
+    basis = np.zeros((n * n, len(cosets)), dtype=complex)
+    for k, coset in enumerate(cosets):
+        for y in coset:
+            basis[y * n + y, k] = 1.0 / np.sqrt(len(coset))
+    return Subspace(n * n, basis)
+
+
+@pytest.mark.parametrize("name", ["Z6", "Z2xZ4", "S3", "D4", "Q8", "S4"])
+def test_index_scatters_match_the_dense_constructions(name, monkeypatch):
+    g = builtin_group(name)
+    rng = np.random.default_rng(12)
+    subs = all_subgroups(g)
+    sigmas = [indicator_function(g, sub) for sub in subs]  # delta_e and 1 among them
+    sigmas += [random_positive_definite(g, rng), random_unit_at_identity(g, rng),
+               random_unit_at_identity(g, rng, level_set=[0, 1, 2])]
+    for sigma in sigmas:
+        space, oracle = harmonic_functionals(sigma), _functionals_by_svd(sigma)
+        assert space.dim == oracle.dim
+        assert projector_distance(space, oracle) <= 1e-12
+    for sub in subs:
+        # with the loop basis standing in for the commutant, the report
+        # compares the scattered coset basis against it
+        oracle = _orbit_span_by_loops(sub)
+        monkeypatch.setattr(harmonic, "commutant", lambda gens, n, tol: oracle)
+        report = invariant_algebra(sub)
+        assert report.dim_invariant == report.dim_commutant == oracle.dim
+        assert report.distance <= 1e-12
 
 
 def test_harmonic_operators_dimensions():
@@ -413,6 +459,13 @@ def test_ideal_suite_nonunital_sigma_skips_chain():
         report.ideal_closure_residual, report.perp_closure_residual,
         report.quotient_formula_residual,
     )
+
+
+def test_ideal_suite_dimension_mismatch_reads_inf():
+    report = linfty_perp_suite(indicator_function(S3, A3))
+    assert report.passed
+    broken = dataclasses.replace(report, dim_fixed=report.dim_fixed - 1)
+    assert broken.worst_residual == np.inf and not broken.passed
 
 
 def _suite_masks(monkeypatch, sigma):
@@ -682,6 +735,19 @@ def test_invariant_algebra_a3():
     assert report.passed
 
 
+def test_invariant_algebra_dimension_mismatch_reads_inf(monkeypatch):
+    original = harmonic.commutant
+
+    def short(gens, n, tol):
+        comm = original(gens, n, tol)
+        return Subspace(comm.ambient_dim, comm.basis[:, 1:])
+
+    monkeypatch.setattr(harmonic, "commutant", short)
+    report = invariant_algebra(generated_subgroup(S3, [3]))
+    assert report.dim_commutant == report.orbit_count - 1
+    assert report.metric == np.inf and not report.passed
+
+
 def test_willis_ideal_point_mass():
     assert willis_ideal(delta_measure(Z4, 0)).dim == 0
 
@@ -730,7 +796,6 @@ def test_general_sigma_fixed_points_inside_stripes():
         sigma = random_unit_at_identity(S3, rng, level_set=[0, 1, 2])
         fixed = fixed_points(theta_hat(sigma))
         from harmop.harmonic import _bimodule_span, _stripe_span
-        from harmop.functions import level_set_one
 
         level = sorted(level_set_one(sigma))
         stripe = _stripe_span(S3, level)

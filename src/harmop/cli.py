@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 import warnings
@@ -118,7 +119,7 @@ def _resolve_group(spec: str) -> GroupTable:
 
 
 def _resolve_sigmas(spec: str, group: GroupTable, count: int,
-                    rng: np.random.Generator, tol: Tolerances) -> list[tuple[str, GroupFunction]]:
+                    rng: np.random.Generator) -> list[tuple[str, GroupFunction]]:
     if spec == "gen:pd":
         return [(f"pd{i}", random_positive_definite(group, rng)) for i in range(count)]
     if spec == "gen:nonpd":
@@ -357,23 +358,23 @@ def run(config: RunConfig) -> Report:
     rng = np.random.default_rng(config.seed)
     group = _resolve_group(config.group)
     if config.command == "verify":
-        sigmas = _resolve_sigmas(config.sigma, group, config.count, rng, tol)
+        sigmas = _resolve_sigmas(config.sigma, group, config.count, rng)
         checks = _suite_verify(group, sigmas, tol)
     elif config.command == "support":
         checks = _suite_support(group, max(config.count, 1), rng, tol)
     elif config.command == "fixed-points":
         mus = _resolve_mus(config.mu, group, config.count, rng)
-        sigmas = _resolve_sigmas(config.sigma, group, config.count, rng, tol)
+        sigmas = _resolve_sigmas(config.sigma, group, config.count, rng)
         checks = _suite_fixed_points(group, mus, sigmas, tol)
     elif config.command == "ideals":
-        sigmas = _resolve_sigmas(config.sigma, group, config.count, rng, tol)
+        sigmas = _resolve_sigmas(config.sigma, group, config.count, rng)
         mus = _resolve_mus(config.mu, group, config.count, rng)
         checks = _suite_ideals(group, sigmas, mus, tol)
     elif config.command == "limit-product":
         mus = _resolve_mus(config.mu, group, config.count, rng)
         checks = _suite_limit_product(group, mus, tol, rng)
     elif config.command == "fuzz":
-        sigmas = _resolve_sigmas("gen:nonpd", group, config.count, rng, tol)
+        sigmas = _resolve_sigmas("gen:nonpd", group, config.count, rng)
         checks = _suite_verify(group, sigmas, tol)
     else:
         raise ValueError(f"unknown command {config.command!r}")
@@ -382,11 +383,22 @@ def run(config: RunConfig) -> Report:
     return Report(config=asdict(config), checks=checks, wall_time_s=wall)
 
 
+def _check_json(record: CheckRecord) -> dict:
+    """The record as a JSON object.  A non-finite metric is written as null,
+    with "metric_nonfinite" holding "inf", "-inf" or "nan", so the report
+    stays strict JSON; a finite one is written as is, with no extra field."""
+    entry = asdict(record)
+    if not math.isfinite(record.metric):
+        entry["metric"] = None
+        entry["metric_nonfinite"] = repr(record.metric)
+    return entry
+
+
 def emit(report: Report, fmt: str) -> str:
     if fmt == "json":
         payload = {
             "config": report.config,
-            "checks": [asdict(c) for c in report.checks],
+            "checks": [_check_json(c) for c in report.checks],
             "summary": report.summary,
             "wall_time_s": report.wall_time_s,
         }
@@ -413,10 +425,12 @@ def emit(report: Report, fmt: str) -> str:
 
 def parse_report(text: str) -> Report:
     """Inverse of emit(..., 'json').  Each record is rebuilt from its name,
-    statement, metric and tolerance; a stored verdict that disagrees with
-    them raises ValueError."""
+    statement, metric and tolerance, a null metric from "metric_nonfinite";
+    a stored verdict that disagrees with them raises ValueError."""
     data = json.loads(text)
-    checks = [CheckRecord(c["name"], c["statement"], c["metric"], c["tolerance"])
+    checks = [CheckRecord(c["name"], c["statement"],
+                          float(c["metric_nonfinite"]) if c["metric"] is None else c["metric"],
+                          c["tolerance"])
               for c in data["checks"]]
     for record, entry in zip(checks, data["checks"]):
         if record.passed != entry["passed"]:

@@ -1,10 +1,14 @@
-"""Dense complex linear algebra: null spaces, subspaces, commutants.
+"""Dense linear algebra: null spaces, subspaces, commutants.
 
 Every rank decision in the package goes through one rank-revealing
 decomposition (SVD, or Hermitian eigendecomposition for PSD tests) with the
-threshold rank_tol * largest singular value.  Matrices embedded as ambient
-vectors are always vectorized row-major.  The order cap, the PSD test and
-the cutoff that decides sigma(x) = 1 live here once each.
+threshold rank_tol * largest singular value.  Each matrix is decomposed in
+the field its entries live in (_in_field): one whose imaginary part is
+exactly zero goes to float64 LAPACK, any other to complex128.  No tolerance
+is applied to the imaginary part, and every Subspace basis is complex128.
+Matrices embedded as ambient vectors are always vectorized row-major.  The
+order cap, the PSD test and the cutoff that decides sigma(x) = 1 live here
+once each.
 """
 
 from __future__ import annotations
@@ -104,10 +108,19 @@ class Subspace:
     @classmethod
     def from_span(cls, vectors, tol: Tolerances = DEFAULT_TOL) -> "Subspace":
         """Orthonormalize a (possibly dependent) spanning list of vectors."""
-        mat = np.asarray(vectors, dtype=complex)
+        mat = np.asarray(vectors)
         if mat.ndim != 2:
             mat = mat.reshape(len(mat), -1)
         return range_space(mat.T, tol)
+
+
+def _in_field(mat) -> np.ndarray:
+    """mat as float64 if its imaginary part is exactly zero, else as complex128,
+    so a real matrix gets real LAPACK whatever dtype it arrived in."""
+    mat = np.asarray(mat)
+    if np.iscomplexobj(mat) and mat.imag.any():
+        return mat.astype(complex, copy=False)
+    return np.asarray(mat.real, dtype=float)
 
 
 def _rank(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
@@ -126,7 +139,7 @@ def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
     taller than wide is reduced to the R of its QR factorization, which has
     the same singular values and right singular vectors, so no U is formed.
     """
-    mat = np.asarray(mat, dtype=complex)
+    mat = _in_field(mat)
     if mat.ndim != 2:
         raise ValueError("null_space expects a matrix")
     if not np.all(np.isfinite(mat)):
@@ -144,7 +157,7 @@ def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -
 
 def range_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
     """Orthonormal basis of the column space; ``scale`` as in null_space."""
-    mat = np.asarray(mat, dtype=complex)
+    mat = _in_field(mat)
     rows, cols = mat.shape
     if cols == 0:
         return Subspace.zero(rows)
@@ -178,9 +191,9 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     (row-major), filled for all generators at once by broadcasting into its
     two diagonals.  An empty list needs ``n`` and yields the full space.
     Matrices above SUPEROP_CAP raise SizeCapError before the n^4 stack is
-    allocated.
+    allocated.  The stack is float64 when every generator is real.
     """
-    gens = [np.asarray(g, dtype=complex) for g in generators]
+    gens = [np.asarray(g) for g in generators]
     if not gens and n is None:
         raise ValueError("pass n for an empty generator list")
     n = gens[0].shape[0] if gens else n
@@ -189,11 +202,13 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
         return Subspace.full(n * n)
     if any(g.shape != (n, n) for g in gens):
         raise ValueError(f"generators must all have shape ({n}, {n})")
+    stack = _in_field(np.stack(gens))
     # adding 0 turns -0.0 into 0.0, so exactly equal matrices have equal bytes
-    listed = {(g + 0).tobytes() for g in gens}
-    gens += [a for a in (g.conj().T for g in gens) if (a + 0).tobytes() not in listed]
-    stack = np.stack(gens)
-    sylvester = np.zeros((len(gens), n, n, n, n), dtype=complex)
+    listed = {(g + 0).tobytes() for g in stack}
+    adjoints = [a for a in stack.conj().transpose(0, 2, 1) if (a + 0).tobytes() not in listed]
+    if adjoints:
+        stack = np.concatenate([stack, adjoints])
+    sylvester = np.zeros((len(stack), n, n, n, n), dtype=stack.dtype)
     # writable diagonal views: the j = l entries get A[i, k], the i = k ones -A[l, j]
     np.einsum("gijkj->gijk", sylvester)[...] += stack[:, :, None]
     np.einsum("gijil->gijl", sylvester)[...] -= stack.transpose(0, 2, 1)[:, None]
@@ -209,20 +224,22 @@ def double_commutant(generators, n: int | None = None,
 
     The second pass uses a basis of the first as its generators.  All adjoints
     and pairwise products are projected in blocks and must stay within
-    eq_tol * max(1, ||v||) of the result.
+    eq_tol * max(1, ||v||) of the result; they are formed in the field of the
+    result's basis, which is real when the first basis is.
     """
     first = commutant(generators, n, tol)
     n = math.isqrt(first.ambient_dim)
     second = commutant(list(first.basis.T.reshape(-1, n, n)), n, tol)
-    mats = second.basis.T.reshape(-1, n, n)
+    basis = _in_field(second.basis)
+    mats = basis.T.reshape(-1, n, n)
 
     def closed(vectors: np.ndarray) -> bool:
-        resid = np.linalg.norm(vectors - (vectors @ second.basis.conj()) @ second.basis.T, axis=1)
+        resid = np.linalg.norm(vectors - (vectors @ basis.conj()) @ basis.T, axis=1)
         return bool(np.all(resid <= tol.eq_tol * np.maximum(1.0, np.linalg.norm(vectors, axis=1))))
 
     if not closed(mats.conj().transpose(0, 2, 1).reshape(-1, n * n)):
         raise LinAlgContractError("double commutant not closed under adjoint")
-    step = max(1, (1 << 20) // max(1, mats.size))  # about 16 MB of products
+    step = max(1, (1 << 20) // max(1, mats.size))  # about 2^20 product entries at a time
     for start in range(0, len(mats), step):
         prods = mats[start:start + step, None] @ mats
         if not closed(prods.reshape(-1, n * n)):

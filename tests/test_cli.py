@@ -248,8 +248,17 @@ def test_willis_dimension_mismatch_fails_with_inf_metric(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "willis_ideal", _drop_one_basis_vector(cli.willis_ideal))
     assert main(["ideals", "--group", "S3", "--count", "1"]) == 1
-    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
-    assert [(c["name"], c["metric"]) for c in failed] == [("ideals/adapted0/willis", np.inf)]
+    out = capsys.readouterr().out
+    data = json.loads(out)
+    json.dumps(data, allow_nan=False)  # strict JSON: no bare Infinity or NaN
+    failed = [c for c in data["checks"] if not c["passed"]]
+    assert [(c["name"], c["metric"], c["metric_nonfinite"]) for c in failed] == [
+        ("ideals/adapted0/willis", None, "inf")]
+    assert all("metric_nonfinite" not in c for c in data["checks"] if c["passed"])
+    report = parse_report(out)
+    assert [(c.name, c.metric) for c in report.checks if not c.passed] == [
+        ("ideals/adapted0/willis", np.inf)]
+    assert emit(report, "json") + "\n" == out
 
 
 def test_commutant_dimension_mismatch_fails_with_inf_metric(monkeypatch, capsys):
@@ -257,11 +266,11 @@ def test_commutant_dimension_mismatch_fails_with_inf_metric(monkeypatch, capsys)
 
     monkeypatch.setattr(harmonic, "commutant", _drop_one_basis_vector(harmonic.commutant))
     assert main(["verify", "--group", "Z4", "--count", "1"]) == 1
-    checks = json.loads(capsys.readouterr().out)["checks"]
-    identities = [c for c in checks if c["name"].endswith("commutant_identity")]
+    checks = parse_report(capsys.readouterr().out).checks
+    identities = [c for c in checks if c.name.endswith("commutant_identity")]
     assert len(identities) == 3  # the subgroups of Z4
-    assert all(not c["passed"] and c["metric"] == np.inf for c in identities)
-    assert all(c["passed"] for c in checks if c not in identities)
+    assert all(not c.passed and c.metric == np.inf for c in identities)
+    assert all(c.passed for c in checks if c not in identities)
 
 
 def test_nan_route_distance_fails_verify(monkeypatch, capsys):
@@ -278,9 +287,12 @@ def test_nan_route_distance_fails_verify(monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "verify_main_theorem", nan_last)
     assert main(["verify", "--group", "Z4", "--count", "1"]) == 1
-    failed = [c for c in json.loads(capsys.readouterr().out)["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["verify/pd0/three_routes"]
-    assert np.isnan(failed[0]["metric"])
+    out = capsys.readouterr().out
+    failed = [c for c in json.loads(out)["checks"] if not c["passed"]]
+    assert [(c["name"], c["metric"], c["metric_nonfinite"]) for c in failed] == [
+        ("verify/pd0/three_routes", None, "nan")]
+    assert [c.name for c in parse_report(out).checks if np.isnan(c.metric)] == [
+        "verify/pd0/three_routes"]
     assert not nan_last(random_positive_definite(cyclic_group(4), np.random.default_rng(0))).passed
 
 

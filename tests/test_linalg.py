@@ -3,8 +3,9 @@ import pytest
 
 import harmop
 import harmop.linalg as linalg
-from harmop.groups import cyclic_group, symmetric_group
-from harmop.actions import left_regular
+from harmop.groups import builtin_group, cyclic_group, symmetric_group
+from harmop.actions import left_regular, theta_hat
+from harmop.generators import random_positive_definite
 from harmop.linalg import (
     DEFAULT_TOL,
     LinAlgContractError,
@@ -347,3 +348,85 @@ def test_commutant_cap_is_checked_before_the_stack_is_built(monkeypatch):
         commutant([big])
     with pytest.raises(SizeCapError):
         commutant([], 25)
+
+
+# ---------------------------------------------------------------------------
+# the field rule: exactly real input is decomposed in float64
+
+def _complex_svd_null_space(mat, scale=None) -> Subspace:
+    """The null space by a complex128 SVD of the whole matrix, as the oracle."""
+    mat = np.asarray(mat, dtype=complex)
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    cutoff = DEFAULT_TOL.rank_tol * (scale if scale is not None else s[0])
+    return Subspace(mat.shape[1], vh[int(np.sum(s > cutoff)):].conj().T)
+
+
+def _rank_deficient(rows, cols, rank, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, cols))
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 4), (12, 5, 3)])  # wide, and tall through QR
+def test_real_and_zero_imaginary_input_give_the_same_spaces(shape):
+    real = _rank_deficient(*shape, seed=sum(shape))
+    oracle = _complex_svd_null_space(real)
+    for decompose in (null_space, range_space):
+        a, b = decompose(real), decompose(real + 0j)
+        assert a.dim == b.dim
+        assert projector_distance(a, b) <= 1e-12
+        assert a.basis.dtype == b.basis.dtype == np.complex128
+    assert null_space(real).dim == oracle.dim == shape[1] - shape[2]
+    assert projector_distance(null_space(real), oracle) <= 1e-12
+    assert range_space(real).dim == shape[2]
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8"])
+def test_real_generators_and_zero_imaginary_generators_agree(name):
+    g = builtin_group(name)
+    n = g.order
+    real = [left_regular(g, x).real for x in range(n)]
+    shifted = [m + 0j for m in real]
+    for engine in (commutant, double_commutant):
+        a, b = engine(real, n), engine(shifted, n)
+        assert a.dim == b.dim == n
+        assert projector_distance(a, b) <= 1e-12
+        assert a.basis.dtype == b.basis.dtype == np.complex128
+    # oracle: the commutant by a complex SVD of the Kronecker-form stack
+    eye = np.eye(n)
+    stack = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in real + [m.T for m in real]])
+    oracle = _complex_svd_null_space(stack, scale=1.0)
+    assert projector_distance(commutant(real, n), oracle) <= 1e-12
+    # the double commutant of lambda(G) is span lambda(G)
+    translations = Subspace.from_span(np.array([m.reshape(-1) for m in real]))
+    assert projector_distance(double_commutant(real, n), translations) <= 1e-12
+
+
+def test_a_tiny_imaginary_part_keeps_the_complex_path():
+    mat = np.diag([1.0, 1e-3j])
+    space = null_space(mat)
+    assert space.dim == _complex_svd_null_space(mat).dim == 0
+    assert null_space(mat.real).dim == 1  # what dropping the imaginary part would give
+    assert range_space(mat).dim == 2
+
+
+def test_qr_sees_float64_for_real_generators_and_complex128_for_a_complex_mask(monkeypatch):
+    dtypes = []
+    qr = np.linalg.qr
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    s3 = symmetric_group(3)
+    commutant([left_regular(s3, x) for x in range(6)])
+    assert dtypes == [np.float64]
+    dtypes.clear()
+    null_space(_rank_deficient(12, 5, 3, seed=0) + 0j)
+    assert dtypes == [np.float64]
+    dtypes.clear()
+    mask = theta_hat(random_positive_definite(s3, np.random.default_rng(0))).mask
+    assert mask.imag.any()
+    space = commutant([mask])
+    assert dtypes == [np.complex128]
+    assert space.basis.dtype == np.complex128

@@ -16,7 +16,6 @@ from .groups import (
     dihedral_group,
     direct_product,
     generated_subgroup,
-    make_group,
     parse_group,
     quaternion_group,
     symmetric_group,
@@ -41,7 +40,6 @@ from .functions import (
     PDWitness,
     check_adaptedness_equivalence,
     constant_function,
-    construct_adapted,
     convolve,
     convolve_measures,
     delta_function,
@@ -50,7 +48,6 @@ from .functions import (
     in_p1,
     indicator_function,
     is_adapted_measure,
-    is_adapted_pd,
     is_positive_definite,
     level_set_one,
     uniform_measure,
@@ -68,12 +65,10 @@ from .actions import (
     module_action,
     mult_op,
     pi_quotient,
-    right_regular,
     schur_mask,
     theta,
     theta_hat,
     theta_hat_sum_form,
-    trace_pairing,
 )
 from .support import SupportSet, annihilator_ideal, operator_support
 from .harmonic import (

@@ -34,11 +34,6 @@ def left_regular(group: GroupTable, x: int) -> np.ndarray:
     return _perm_matrix(group.table[x])
 
 
-def right_regular(group: GroupTable, x: int) -> np.ndarray:
-    """rho(x): permutation matrix sending delta_b to delta_{b x^-1}."""
-    return _perm_matrix(group.table[:, group.inv(x)])
-
-
 def _operator(group: GroupTable, t_mat) -> np.ndarray:
     """t_mat as a complex |G| x |G| array; any other shape is a ValueError."""
     t_mat = np.asarray(t_mat, dtype=complex)
@@ -56,11 +51,6 @@ def transpose_index(n: int) -> np.ndarray:
 def mult_op(f: GroupFunction) -> np.ndarray:
     """M_f, the diagonal multiplication operator."""
     return np.diag(f.values)
-
-
-def trace_pairing(t_mat: np.ndarray, omega: np.ndarray) -> complex:
-    """<T, omega> = Tr(T omega)."""
-    return complex(np.einsum("ij,ji->", t_mat, omega))
 
 
 def displacement_table(group: GroupTable) -> np.ndarray:

@@ -62,7 +62,7 @@ from .generators import (
     random_unit_at_identity,
 )
 
-COMMANDS = ("verify", "support", "fixed-points", "ideals", "limit-product", "fuzz")
+COMMANDS = ("verify", "support", "fixed-points", "ideals", "limit-product")
 
 
 @dataclass(frozen=True)
@@ -166,19 +166,18 @@ def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> Iterator[CheckR
         )
     for name, sigma in sigmas:
         report = verify_main_theorem(sigma, tol, parameter=name)
-        metric = float(np.max(list(report.distances.values())))  # NaN propagates
         if report.p1_mode:
             yield CheckRecord(
                 name=f"verify/{name}/dimension",
                 statement="dim of the harmonic-operator algebra is |G| * |level set| on all three routes",
-                metric=float(max(abs(d - report.expected_dim) for d in report.dims.values())),
+                metric=report.dimension_defect,
                 tolerance=0.0,
             )
             yield CheckRecord(
                 name=f"verify/{name}/three_routes",
                 statement="fixed points of the multiplier action = algebra generated by "
                           "level-set translations and the diagonal = level-set stripe span",
-                metric=metric,
+                metric=report.distance,
                 tolerance=tol.eq_tol,
             )
         else:
@@ -186,7 +185,7 @@ def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> Iterator[CheckR
                 name=f"verify/{name}/inclusions",
                 statement="bimodule span of level-set translations sits inside the fixed "
                           "points, which sit inside the level-set stripe span",
-                metric=metric,
+                metric=report.distance,
                 tolerance=tol.eq_tol,
             )
 
@@ -373,9 +372,6 @@ def run(config: RunConfig) -> Report:
     elif config.command == "limit-product":
         mus = _resolve_mus(config.mu, group, config.count, rng)
         checks = _suite_limit_product(group, mus, tol, rng)
-    elif config.command == "fuzz":
-        sigmas = _resolve_sigmas("gen:nonpd", group, config.count, rng)
-        checks = _suite_verify(group, sigmas, tol)
     else:
         raise ValueError(f"unknown command {config.command!r}")
     checks = sorted(checks, key=lambda c: c.name)

@@ -164,20 +164,6 @@ def is_adapted_measure(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> bool:
     return len(generated_subgroup(mu.group, mu.support(tol))) == mu.group.order
 
 
-def is_adapted_pd(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """True iff sigma in P1(G) has level set {e}."""
-    level = level_set_one(sigma, tol)
-    if not isinstance(level, Subgroup):
-        raise ValueError("adaptedness is defined for positive definite sigma with sigma(e) = 1")
-    return set(level) == {sigma.group.identity}
-
-
-def construct_adapted(group: GroupTable) -> GroupFunction:
-    """An adapted positive definite function with value 1 at e: the point mass
-    at the identity works on every finite group."""
-    return delta_function(group, group.identity)
-
-
 # ---------------------------------------------------------------------------
 # Fourier-Stieltjes side (abelian groups)
 

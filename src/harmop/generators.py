@@ -1,4 +1,4 @@
-"""Seeded random inputs for the verification and fuzz suites."""
+"""Seeded random inputs for the verification suites."""
 
 from __future__ import annotations
 

@@ -77,13 +77,6 @@ class GroupTable:
             self._abelian = bool(np.array_equal(self.table, self.table.T))
         return self._abelian
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     def exponent(self) -> int:
         """The least k with a^k = e for every a: all powers advance together."""
         elems = np.arange(self.order)
@@ -223,21 +216,6 @@ def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     labels = [f"({g1.elements[a]},{g2.elements[b]})"
               for a in range(n1) for b in range(n2)]
     return GroupTable(f"{g1.name}x{g2.name}", labels, table)
-
-
-def make_group(kind: str, *args) -> GroupTable:
-    """Dispatch on a constructor kind: cyclic(n), dihedral(n), symmetric(m),
-    quaternion(), direct_product(G1, G2)."""
-    makers = {
-        "cyclic": cyclic_group,
-        "dihedral": dihedral_group,
-        "symmetric": symmetric_group,
-        "quaternion": quaternion_group,
-        "direct_product": direct_product,
-    }
-    if kind not in makers:
-        raise ValueError(f"unknown group kind {kind!r}")
-    return makers[kind](*args)
 
 
 def builtin_group(name: str) -> GroupTable:

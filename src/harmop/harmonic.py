@@ -124,12 +124,20 @@ class HarmonicReport:
     eq_tol: float
 
     @property
+    def distance(self) -> float:
+        """The largest route distance; a NaN one propagates."""
+        return float(np.max(list(self.distances.values())))
+
+    @property
+    def dimension_defect(self) -> float:
+        """max |dim - expected_dim| over the routes, 0.0 when none is expected."""
+        if self.expected_dim is None:
+            return 0.0
+        return float(max(abs(d - self.expected_dim) for d in self.dims.values()))
+
+    @property
     def passed(self) -> bool:
-        if not all(d <= self.eq_tol for d in self.distances.values()):  # NaN fails
-            return False
-        if self.expected_dim is not None:
-            return all(d == self.expected_dim for d in self.dims.values())
-        return True
+        return self.distance <= self.eq_tol and self.dimension_defect == 0  # NaN fails
 
 
 def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,

@@ -29,8 +29,8 @@ class Tolerances:
     entry_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.rank_tol, self.eq_tol, self.entry_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < math.inf for t in (self.rank_tol, self.eq_tol, self.entry_tol)):
+            raise ValueError("tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerances()

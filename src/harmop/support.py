@@ -67,5 +67,5 @@ def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
     # x lies in the hull iff every ideal element vanishes at x iff the
     # orthonormal basis has a (numerically) zero row there
     row_norms = np.linalg.norm(ideal.basis, axis=1) if ideal.dim else np.zeros(n)
-    hull = tuple(int(x) for x in np.flatnonzero(row_norms <= tol.eq_tol))
+    hull = tuple(int(x) for x in np.flatnonzero(row_norms <= tol.rank_tol))
     return ideal, SupportSet(group, hull, tol.entry_tol)

@@ -30,12 +30,10 @@ from harmop.actions import (
     module_action,
     mult_op,
     pi_quotient,
-    right_regular,
     schur_mask,
     theta,
     theta_hat,
     theta_hat_sum_form,
-    trace_pairing,
     transpose_index,
 )
 
@@ -55,6 +53,16 @@ def _rand(group, rng):
 def _rand_fn(group, rng):
     n = group.order
     return GroupFunction(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def right_regular(group, x):
+    """rho(x): permutation matrix sending delta_b to delta_{b x^-1}."""
+    return actions._perm_matrix(group.table[:, group.inv(x)])
+
+
+def trace_pairing(t_mat, omega):
+    """<T, omega> = Tr(T omega)."""
+    return complex(np.einsum("ij,ji->", t_mat, omega))
 
 
 def _unit(group, a, b):

@@ -4,12 +4,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harmop.cli import COMMANDS, CheckRecord, Report, RunConfig, emit, main, parse_report, run
+from harmop.cli import (
+    COMMANDS,
+    CheckRecord,
+    Report,
+    RunConfig,
+    build_parser,
+    emit,
+    main,
+    parse_report,
+    run,
+)
 from harmop.groups import cyclic_group, symmetric_group
 from harmop.functions import function_to_json, indicator_function, measure_to_json
 from harmop.functions import GroupFunction, Measure
 from harmop.generators import random_positive_definite
-from harmop.harmonic import verify_main_theorem
+from harmop.harmonic import HarmonicReport, verify_main_theorem
 from harmop.linalg import Subspace
 from test_groups import intercalate_swapped
 
@@ -40,9 +50,10 @@ def test_unknown_group_kind_is_usage_error(capsys):
 
 
 def test_unknown_command_is_usage_error():
-    with pytest.raises(SystemExit) as err:
-        main(["explode", "--group", "Z4"])
-    assert err.value.code == 2
+    for command in ("explode", "fuzz"):  # fuzz was an alias of verify --sigma gen:nonpd
+        with pytest.raises(SystemExit) as err:
+            main([command, "--group", "Z4"])
+        assert err.value.code == 2
 
 
 def test_broken_group_file_is_input_error(tmp_path, capsys):
@@ -89,6 +100,22 @@ def test_tolerance_echoed(capsys):
     assert all(c["tolerance"] == 1e-6 for c in route_checks)
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+@pytest.mark.parametrize("command", ["verify", "support"])
+def test_non_finite_tolerance_is_usage_error(command, tol, capsys):
+    assert main([command, "--group", "Z4", "--count", "1", "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerances must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("tol", [[], ["--tol", "1"]], ids=["default", "tol1"])
+def test_support_hull_does_not_move_with_tol(tol, capsys):
+    # the hull is read off ||P e_x|| at rank_tol; eq_tol only echoes in the records
+    assert main(["support", "--group", "Z4", "--count", "1", *tol]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
+
+
 def test_json_deterministic_for_fixed_seed():
     config = RunConfig(command="support", group="S3", count=10, seed=42)
     first = _strip_wall_time(emit(run(config), "json"))
@@ -125,8 +152,7 @@ def test_markdown_one_row_per_check():
         assert check.statement in row
 
 
-@pytest.mark.parametrize("command", ["verify", "support", "fixed-points", "ideals",
-                                     "limit-product", "fuzz"])
+@pytest.mark.parametrize("command", COMMANDS)
 def test_all_commands_pass_on_small_group(command, capsys):
     code = main([command, "--group", "Z4", "--count", "2", "--seed", "7"])
     capsys.readouterr()
@@ -296,6 +322,24 @@ def test_nan_route_distance_fails_verify(monkeypatch, capsys):
     assert not nan_last(random_positive_definite(cyclic_group(4), np.random.default_rng(0))).passed
 
 
+def _harmonic_report(dims, distances, expected_dim=2):
+    return HarmonicReport(group_name="Z2", parameter="sigma", p1_mode=True, level_set=(0,),
+                          dims=dims, expected_dim=expected_dim, distances=distances,
+                          eq_tol=1e-8)
+
+
+def test_harmonic_report_verdict_reads_distance_and_dimension_defect():
+    dims = {"fixed_points": 2, "generated_algebra": 2, "stripe_span": 2}
+    distances = {"fixed_vs_algebra": 1e-9, "fixed_vs_stripe": 0.0}
+    report = _harmonic_report(dims, distances)
+    assert report.passed and report.distance == 1e-9 and report.dimension_defect == 0.0
+    nan = _harmonic_report(dims, {**distances, "fixed_vs_stripe": float("nan")})
+    assert np.isnan(nan.distance) and not nan.passed
+    off_by_one = _harmonic_report({**dims, "stripe_span": 3}, distances)
+    assert off_by_one.dimension_defect == 1.0 and not off_by_one.passed
+    assert _harmonic_report({**dims, "stripe_span": 3}, distances, expected_dim=None).passed
+
+
 def test_one_psd_test_per_sigma(monkeypatch, capsys):
     import harmop.functions as functions
 
@@ -325,13 +369,16 @@ def test_check_record_fields():
 
 
 SIGNATURE_GROUPS = ("Z6", "S3")
+SIGNATURE_KEYS = (*COMMANDS, "verify --sigma gen:nonpd")
 SIGNATURES = Path(__file__).parent / "data" / "cli_signatures.json"
 
 
-def _signature(command: str, group: str) -> list[dict]:
+def _signature(key: str, group: str) -> list[dict]:
     """Check names, verdicts and, for exact checks (tolerance 0), the integer
-    metric of a fixed-seed report; a refactor must leave these unchanged."""
-    report = run(RunConfig(command=command, group=group, count=2, seed=0))
+    metric of the fixed-seed report of the command line ``key``; a refactor
+    must leave these unchanged."""
+    args = build_parser().parse_args([*key.split(), "--group", group, "--count", "2", "--seed", "0"])
+    report = run(RunConfig(**vars(args)))
     out = []
     for c in report.checks:
         entry = {"name": c.name, "passed": c.passed}
@@ -342,13 +389,14 @@ def _signature(command: str, group: str) -> list[dict]:
 
 
 @pytest.mark.parametrize("group", SIGNATURE_GROUPS)
-@pytest.mark.parametrize("command", COMMANDS)
-def test_fixed_seed_report_signature(command, group):
-    expected = json.loads(SIGNATURES.read_text())[group][command]
-    assert _signature(command, group) == expected
+@pytest.mark.parametrize("key", SIGNATURE_KEYS,
+                         ids=lambda key: key.replace(" --sigma gen:", "-"))
+def test_fixed_seed_report_signature(key, group):
+    expected = json.loads(SIGNATURES.read_text())[group][key]
+    assert _signature(key, group) == expected
 
 
-def test_fuzz_runs_the_three_routes_once_per_sigma(monkeypatch):
+def test_nonpd_verify_runs_the_three_routes_once_per_sigma(monkeypatch):
     import harmop.cli as cli
 
     calls = []
@@ -359,7 +407,7 @@ def test_fuzz_runs_the_three_routes_once_per_sigma(monkeypatch):
         return original(sigma, tol, parameter=parameter)
 
     monkeypatch.setattr(cli, "verify_main_theorem", counting)
-    report = run(RunConfig(command="fuzz", group="S3", count=3, seed=0))
+    report = run(RunConfig(command="verify", group="S3", sigma="gen:nonpd", count=3, seed=0))
     assert sorted(calls) == ["nonpd0", "nonpd1", "nonpd2"]
     assert report.passed
 
@@ -404,7 +452,7 @@ def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
         support.annihilator_ideal(cyclic_group(4), t_mat)
 
 
-@pytest.mark.parametrize("command", ["verify", "fuzz", "fixed-points"])
+@pytest.mark.parametrize("command", ["verify", "fixed-points"])
 def test_commutant_commands_above_the_cap_exit_two(command, monkeypatch, capsys):
     def no_decomposition(*args, **kwargs):
         raise AssertionError("a commutator stack was decomposed above the cap")

@@ -14,7 +14,6 @@ from harmop.functions import (
     Measure,
     check_adaptedness_equivalence,
     constant_function,
-    construct_adapted,
     convolution_matrix,
     convolve,
     convolve_measures,
@@ -27,7 +26,6 @@ from harmop.functions import (
     in_p1,
     indicator_function,
     is_adapted_measure,
-    is_adapted_pd,
     is_positive_definite,
     level_set_one,
     measure_from_json,
@@ -150,22 +148,6 @@ def test_is_adapted_measure():
     assert not is_adapted_measure(delta_measure(Z4, 2))  # <{2}> = {0, 2}
     with pytest.raises(ValueError):
         is_adapted_measure(Measure(Z4, [2.0, 0, 0, 0]))
-
-
-def test_is_adapted_pd():
-    assert is_adapted_pd(delta_function(S3, 0))
-    z2 = cyclic_group(2)
-    assert not is_adapted_pd(constant_function(z2))
-    assert not is_adapted_pd(indicator_function(S3, A3))
-    with pytest.raises(ValueError):
-        is_adapted_pd(GroupFunction(Z4, [1.0, 0.5, 3.0, 0.5]))
-
-
-def test_construct_adapted():
-    for g in (Z4, S3, cyclic_group(1)):
-        sigma = construct_adapted(g)
-        assert in_p1(sigma)
-        assert is_adapted_pd(sigma)
 
 
 def test_fs_transform_delta_e():

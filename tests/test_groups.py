@@ -21,7 +21,6 @@ from harmop.groups import (
     dihedral_group,
     direct_product,
     generated_subgroup,
-    make_group,
     parse_group,
     quaternion_group,
     symmetric_group,
@@ -35,6 +34,15 @@ SAMPLE_GROUPS = [
     quaternion_group(),
     direct_product(cyclic_group(2), cyclic_group(4)),
 ]
+
+
+def element_order(g, a):
+    """The least k >= 1 with a^k = e."""
+    k, x = 1, a
+    while x != g.identity:
+        x = g.mul(x, a)
+        k += 1
+    return k
 
 
 def test_trivial_group():
@@ -106,7 +114,7 @@ def test_dihedral_4():
     g = dihedral_group(4)
     assert g.order == 8
     assert not g.is_abelian
-    assert g.element_order(1) == 4  # the basic rotation
+    assert element_order(g, 1) == 4  # the basic rotation
 
 
 def test_quaternion_group():
@@ -114,7 +122,7 @@ def test_quaternion_group():
     assert g.order == 8
     assert not g.is_abelian
     # -1 is the unique element of order 2
-    order_two = [a for a in range(8) if g.element_order(a) == 2]
+    order_two = [a for a in range(8) if element_order(g, a) == 2]
     assert order_two == [g.elements.index("-1")]
 
 
@@ -131,16 +139,6 @@ def test_group_axioms(g):
         assert g.mul(g.inv(a), a) == 0
         assert np.array_equal(np.sort(g.table[a]), np.arange(n))
         assert np.array_equal(np.sort(g.table[:, a]), np.arange(n))
-
-
-def test_make_group_dispatch():
-    assert make_group("cyclic", 5).order == 5
-    assert make_group("dihedral", 3).order == 6
-    assert make_group("symmetric", 4).order == 24
-    assert make_group("quaternion").order == 8
-    assert make_group("direct_product", cyclic_group(2), cyclic_group(3)).order == 6
-    with pytest.raises(ValueError):
-        make_group("free", 2)
 
 
 def test_order_caps():
@@ -417,8 +415,8 @@ def test_results_map_over_a_random_relabeling(name, seed):
     gens = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
     assert mapped(generated_subgroup(g, gens)) == generated_subgroup(h, to_h[gens]).members
     assert h.exponent() == g.exponent()
-    orders = [g.element_order(a) for a in range(n)]
-    assert [h.element_order(int(to_h[a])) for a in range(n)] == orders
+    orders = [element_order(g, a) for a in range(n)]
+    assert [element_order(h, int(to_h[a])) for a in range(n)] == orders
     if g.is_abelian:
         moved = set()
         for c in characters(g):

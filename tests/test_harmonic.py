@@ -39,11 +39,9 @@ from harmop.actions import (
     left_regular,
     mult_op,
     pi_quotient,
-    right_regular,
     schur_mask,
     theta,
     theta_hat,
-    trace_pairing,
     transpose_index,
 )
 from harmop.harmonic import (
@@ -69,6 +67,7 @@ from harmop.generators import (
 )
 
 from spans import in_span
+from test_actions import right_regular, trace_pairing
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)

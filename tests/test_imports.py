@@ -40,3 +40,52 @@ def test_no_unused_imports_in_package_or_tests():
     unused = {str(p.relative_to(ROOT)): names for p in files
               if p.name != "__init__.py" and (names := _unused_imports(p))}
     assert unused == {}
+
+
+# public names that nothing in the package or the benchmark calls, each kept
+# for a reason of its own
+UNREFERENCED_ALLOWED = {
+    "function_to_json": "wire-format writer, the inverse of function_from_json",
+    "GroupTable.to_json": "wire-format writer, the inverse of parse_group",
+    "parse_report": "the inverse of emit",
+    "convolve_measures": "its homomorphism test pins the convolution convention",
+    "delta_measure": "constructor of test inputs",
+    "indicator_function": "constructor of test inputs",
+    "random_nonadapted_measure": "generator for a gen:nonadapted measure spec",
+    "theta_hat_sum_form": "the sum form of theta_hat, to become a CLI check",
+}
+
+
+def _public_definitions() -> set[str]:
+    """Public module functions and methods of src/harmop, methods as 'Class.name'."""
+    names = set()
+    for path in (ROOT / "src" / "harmop").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+            names.update(prefix + m.name for m in members
+                         if isinstance(m, ast.FunctionDef) and not m.name.startswith("_"))
+    return names
+
+
+def _referenced_names(paths) -> set[str]:
+    """Names, attributes and the dotted parts of string constants: the
+    benchmark's tracer names what it hooks as 'layer.function'."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def test_every_public_library_name_is_referenced():
+    paths = [p for p in (ROOT / "src" / "harmop").glob("*.py") if p.name != "__init__.py"]
+    refs = _referenced_names(paths + sorted((ROOT / "perfbench").glob("*.py")))
+    unreferenced = {name for name in _public_definitions()
+                    if name.rsplit(".", 1)[-1] not in refs}
+    assert unreferenced == set(UNREFERENCED_ALLOWED)

@@ -290,6 +290,15 @@ class Subgroup:
             a, b = m[np.argwhere(~closed)[0]]
             raise GroupTableError(f"subgroup not closed under product at ({a}, {b})")
 
+    @classmethod
+    def _closed(cls, parent: GroupTable, members: tuple[int, ...]) -> "Subgroup":
+        """A subgroup from sorted distinct members that the caller has closed
+        itself, without the check of __post_init__."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "members", members)
+        return sub
+
     def __contains__(self, x: int) -> bool:
         return x in self.members
 
@@ -322,8 +331,9 @@ def generated_subgroup(group: GroupTable, gens) -> Subgroup:
 
     In a finite group a set containing the identity and closed under products
     is already a subgroup (inverses are positive powers), so squaring the set
-    until its size stops growing suffices.  The start set must be free of
-    duplicates, or a repeat would stop the loop early.
+    until its size stops growing suffices, and the result skips the closure
+    check of Subgroup.  The start set must be free of duplicates, or a repeat
+    would stop the loop early.
     """
     members = np.unique([group.identity, *(int(x) for x in gens)])
     out = members[(members < 0) | (members >= group.order)]
@@ -332,7 +342,7 @@ def generated_subgroup(group: GroupTable, gens) -> Subgroup:
     while True:
         grown = np.unique(group.table[members][:, members])
         if len(grown) == len(members):
-            return Subgroup(group, tuple(members.tolist()))
+            return Subgroup._closed(group, tuple(members.tolist()))
         members = grown
 
 

@@ -9,6 +9,18 @@ is applied to the imaginary part, and every Subspace basis is complex128.
 Matrices embedded as ambient vectors are always vectorized row-major.  The
 order cap, the PSD test and the cutoff that decides sigma(x) = 1 live here
 once each.
+
+A commutant is found in two stages.  Stage 1 splits the spectrum of one
+Hermitian element h of the generated algebra into clusters; that split is
+the one eigenvalue decision outside _rank, and it can only enlarge the
+space searched: the clusters are cut only at gaps wider than both
+diagonal_cutoff and what the eigenvectors can be trusted across, and any
+commutant element lies in the blocks they leave.  Stage 2 makes the rank
+decision, one null space over those blocks with every generator imposed.
+Each result is certified before it is returned: its commutator with every
+generator and adjoint is at most eq_tol * max(1, scale), and the measured
+eigenvector residual of h is small enough at the narrowest split; otherwise
+LinAlgContractError names both.
 """
 
 from __future__ import annotations
@@ -20,6 +32,12 @@ import numpy as np
 
 # |G|^4 work: commutator stacks, dense superoperators, the doubled space
 SUPEROP_CAP = 24
+# frac(k * golden ratio) spreads the weights of commutant's Hermitian element
+_GOLDEN = (1 + math.sqrt(5)) / 2
+# nominal residual ||hU - U diag(w)||_F of a Hermitian eigensolver, per n ||h||;
+# the largest measured on the subgroup commutants of ten groups of order 2-24
+# (and their second passes) is 1.1 eps
+_EIGH_RESIDUAL = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -186,12 +204,18 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     """{X : XA = AX and XA* = A*X for all generators A} as vectorized matrices.
 
     Adjoints not already in the list are appended, so the result is a
-    *-algebra.  Computed as the null space of the Sylvester stack X -> (AX -
-    XA)_A, whose row (i, j), column (k, l) is A[i, k] d(j, l) - d(i, k) A[l, j]
-    (row-major), filled for all generators at once by broadcasting into its
-    two diagonals.  An empty list needs ``n`` and yields the full space.
-    Matrices above SUPEROP_CAP raise SizeCapError before the n^4 stack is
-    allocated.  The stack is float64 when every generator is real.
+    *-algebra.  Stage 1 takes one Hermitian element h = sum_k c_k (A_k + A_k*)
+    of the generated algebra, with fixed weights c_k, and its eigenbasis U.
+    Every X in the commutant commutes with h's spectral projections, so
+    U* X U lies in the span of the E_ij whose eigenvalues i and j share a
+    cluster; stage 1 can only make that span too large.  Stage 2 is the null
+    space, at the generator scale, of the commutators with every U* A U over
+    that span, rotated back by U.  The result is certified on every call
+    (LinAlgContractError otherwise): each basis element commutes with each
+    generator within eq_tol * max(1, scale), and the eigenvector residual is
+    small enough at every split.  An empty list needs ``n`` and yields the
+    full space.  Matrices above SUPEROP_CAP raise SizeCapError before anything
+    is allocated.  Every decomposition is float64 when every generator is real.
     """
     gens = [np.asarray(g) for g in generators]
     if not gens and n is None:
@@ -203,19 +227,63 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     if any(g.shape != (n, n) for g in gens):
         raise ValueError(f"generators must all have shape ({n}, {n})")
     stack = _in_field(np.stack(gens))
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("generators have non-finite entries")
     # adding 0 turns -0.0 into 0.0, so exactly equal matrices have equal bytes
     listed = {(g + 0).tobytes() for g in stack}
     adjoints = [a for a in stack.conj().transpose(0, 2, 1) if (a + 0).tobytes() not in listed]
     if adjoints:
         stack = np.concatenate([stack, adjoints])
-    sylvester = np.zeros((len(stack), n, n, n, n), dtype=stack.dtype)
-    # writable diagonal views: the j = l entries get A[i, k], the i = k ones -A[l, j]
-    np.einsum("gijkj->gijk", sylvester)[...] += stack[:, :, None]
-    np.einsum("gijil->gijl", sylvester)[...] -= stack.transpose(0, 2, 1)[:, None]
     # a commutator is "zero" relative to the generator scale, not relative to
     # the largest commutator in the stack
     scale = float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-    return null_space(sylvester.reshape(-1, n * n), tol, scale=scale)
+
+    # stage 1: the spectral clusters of one Hermitian element h of the algebra.
+    # An eigenvector residual r moves a commutant direction at most 2 r / g out
+    # of the kept span across a split at gap g, and stage 2 still keeps it when
+    # 8 sqrt(K) r / g <= rank_tol for K generators.  Splits are made only at
+    # gaps where the nominal residual meets that; the certification checks the
+    # measured one.
+    weights = 1.0 + (np.arange(1, len(stack) + 1) * _GOLDEN) % 1.0
+    herm = np.einsum("k,kij->ij", weights, stack + stack.conj().transpose(0, 2, 1))
+    w, u = np.linalg.eigh(herm)
+    norm = float(np.abs(w).max(initial=0.0))
+    leak = 8 * math.sqrt(len(stack)) / tol.rank_tol
+    gaps = np.diff(w)
+    split = gaps > max(diagonal_cutoff(w, tol), leak * _EIGH_RESIDUAL * n * norm)
+    cluster = np.concatenate([[0], np.cumsum(split)])
+    ii, jj = np.nonzero(cluster[:, None] == cluster[None, :])
+    d = len(ii)
+
+    # stage 2: column p = (i, j) is vec(B E_ij - E_ij B) for each B = U* A U;
+    # its rows (a, j) get B[a, i] and its rows (i, b) get -B[j, b]
+    rotated = u.conj().T @ stack @ u
+    cols = np.arange(d)
+    sylvester = np.zeros((len(stack), n, n, d), dtype=rotated.dtype)
+    sylvester[:, :, jj, cols] = rotated[:, :, ii]
+    sylvester[:, ii, :, cols] -= rotated[:, jj, :].transpose(1, 0, 2)
+    kernel = _in_field(null_space(sylvester.reshape(-1, d), tol, scale=scale).basis)
+    small = np.zeros((kernel.shape[1], n, n), dtype=kernel.dtype)
+    small[:, ii, jj] = kernel.T
+    mats = u @ small @ u.conj().T
+
+    # certification: every basis element commutes with every generator, and
+    # the measured eigenvector residual kept every split's leak under the cutoff
+    resid = 0.0
+    step = max(1, (1 << 20) // max(1, mats.size))  # about 2^20 commutator entries at a time
+    for start in range(0, len(stack), step):
+        block = stack[start:start + step, None]
+        resid = max(resid, float(np.linalg.norm(block @ mats - mats @ block, axis=(2, 3))
+                                 .max(initial=0.0)))
+    eig_resid = float(np.linalg.norm(herm @ u - u * w))
+    gap = float(gaps[split].min(initial=np.inf))
+    if not (resid <= tol.eq_tol * max(1.0, scale) and leak * eig_resid <= gap):
+        ref = max(1.0, norm)
+        raise LinAlgContractError(
+            f"commutant not certified: commutator residual {resid:.3g} at generator scale "
+            f"{scale:.3g}; eigenvector residual {eig_resid / ref:.3g} and smallest split gap "
+            f"{gap / ref:.3g}, both relative to max(1, ||h||)")
+    return Subspace(n * n, mats.reshape(len(mats), -1).T)
 
 
 def double_commutant(generators, n: int | None = None,

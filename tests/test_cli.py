@@ -206,6 +206,13 @@ def test_ideals_run_at_the_doubled_space_cap(capsys):
     assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
 
 
+def test_verify_runs_at_the_doubled_space_cap(capsys):
+    # 30 subgroup commutants and one double commutant at order 24, SUPEROP_CAP
+    assert main(["verify", "--group", "S4", "--count", "1"]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert summary["passed"] == 32 and summary["failed"] == 0
+
+
 @pytest.mark.parametrize("group", ["D60", "S5"])
 def test_ideals_run_at_order_120(group, capsys):
     # the suite works on n x n masks and one n^3 quotient stack, so it has no cap

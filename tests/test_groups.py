@@ -1,7 +1,9 @@
+import ast
 import itertools
 import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -368,6 +370,35 @@ def test_subgroup_error_messages():
     sub = Subgroup(g, (4, 0, 2, 2))
     assert sub.members == (0, 2, 4)
     assert 4 in sub and 3 not in sub
+
+
+def test_generated_subgroups_skip_the_check_but_equal_checked_ones(monkeypatch):
+    g = builtin_group("D6")
+    checks = []
+    post_init = Subgroup.__post_init__
+    monkeypatch.setattr(Subgroup, "__post_init__", lambda sub: checks.append(post_init(sub)))
+    sub = generated_subgroup(g, [1, 7])
+    assert checks == []
+    assert Subgroup(g, sub.members) == sub and len(checks) == 1
+    with pytest.raises(GroupTableError, match="not closed"):
+        Subgroup(g, (0, 1))  # a user's set is still checked
+
+
+def _workload_subgroup_counts() -> dict:
+    """SUBGROUP_COUNTS of perfbench/workloads.py, read from its source."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "SUBGROUP_COUNTS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/workloads.py has no SUBGROUP_COUNTS")
+
+
+@pytest.mark.parametrize("name, count", sorted(_workload_subgroup_counts().items()))
+def test_all_subgroups_counts_of_the_benchmark(name, count):
+    subs = all_subgroups(builtin_group(name))
+    assert len(subs) == count
+    for sub in subs:  # each passes the check that generated_subgroup skipped
+        assert Subgroup(sub.parent, sub.members) == sub
 
 
 def test_all_subgroups_s3():

@@ -27,6 +27,7 @@ from harmop.functions import (
 from harmop.linalg import (
     DEFAULT_TOL,
     Subspace,
+    Tolerances,
     double_commutant,
     inclusion_residual,
     null_space,
@@ -243,11 +244,29 @@ def test_main_theorem_adapted_sigma_gives_diagonals():
 
 
 def test_main_theorem_at_the_doubled_space_cap():
-    # order 24 is SUPEROP_CAP; the commutator stacks reach 27648 x 576
+    # order 24 is SUPEROP_CAP; the commutant's stage-2 matrices here are at
+    # most 14400 x 24, where the Sylvester stacks were 14400 x 576
     s4 = symmetric_group(4)
     report = verify_main_theorem(delta_function(s4, s4.identity))
     assert report.passed
     assert report.dims == {"fixed_points": 24, "generated_algebra": 24, "stripe_span": 24}
+
+
+SWEEP_ZOO = ("Z6", "S3", "D4", "Q8", "Z2xZ4", "D6")
+
+
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-9, 1e-8])
+@pytest.mark.parametrize("name", SWEEP_ZOO)
+def test_verdicts_hold_across_a_decade_of_rank_tol(name, rank_tol):
+    tol = Tolerances(rank_tol=rank_tol)
+    g = builtin_group(name)
+    for sub in all_subgroups(g):
+        report = invariant_algebra(sub, tol)
+        assert report.passed
+        assert report.dim_commutant == g.order // len(sub)
+    rng = np.random.default_rng(SWEEP_ZOO.index(name))
+    for _ in range(3):
+        assert verify_main_theorem(random_positive_definite(g, rng), tol).passed
 
 
 def test_main_theorem_constant_sigma_gives_everything():

@@ -3,7 +3,7 @@ import pytest
 
 import harmop
 import harmop.linalg as linalg
-from harmop.groups import builtin_group, cyclic_group, symmetric_group
+from harmop.groups import all_subgroups, builtin_group, cyclic_group, symmetric_group
 from harmop.actions import left_regular, theta_hat
 from harmop.generators import random_positive_definite
 from harmop.linalg import (
@@ -218,7 +218,42 @@ def test_null_space_drops_zero_rows_only():
     assert null_space(np.zeros((5, 3))).dim == 3
 
 
+# ---------------------------------------------------------------------------
+# the stacked commutant: the test oracle of the two-stage engine
+
+def _sylvester_stack(generators) -> np.ndarray:
+    """The n^4 Sylvester stack X -> (AX - XA)_A over the generators and the
+    adjoints not already listed: row (i, j), column (k, l) of a block is
+    A[i, k] d(j, l) - d(i, k) A[l, j] (row-major), filled by broadcasting
+    into its two diagonals."""
+    stack = linalg._in_field(np.stack([np.asarray(g) for g in generators]))
+    listed = {(g + 0).tobytes() for g in stack}
+    adjoints = [a for a in stack.conj().transpose(0, 2, 1) if (a + 0).tobytes() not in listed]
+    if adjoints:
+        stack = np.concatenate([stack, adjoints])
+    n = stack.shape[1]
+    sylvester = np.zeros((len(stack), n, n, n, n), dtype=stack.dtype)
+    np.einsum("gijkj->gijk", sylvester)[...] += stack[:, :, None]
+    np.einsum("gijil->gijl", sylvester)[...] -= stack.transpose(0, 2, 1)[:, None]
+    return sylvester.reshape(-1, n * n)
+
+
+def stacked_commutant(generators, tol: Tolerances = DEFAULT_TOL) -> Subspace:
+    """The commutant as the null space of the whole Sylvester stack, at the
+    largest spectral norm of the generators and their adjoints."""
+    scale = max(np.linalg.norm(np.asarray(g), 2) for g in generators)
+    return null_space(_sylvester_stack(generators), tol, scale=scale)
+
+
+def assert_matches_oracle(generators, n=None):
+    space, oracle = commutant(generators, n), stacked_commutant(generators)
+    assert space.dim == oracle.dim
+    assert projector_distance(space, oracle) <= 1e-10
+    return space
+
+
 def _captured_stack(monkeypatch, gens):
+    """The matrix that commutant passes to null_space, and the result."""
     stacks = []
     original = linalg.null_space
 
@@ -232,32 +267,167 @@ def _captured_stack(monkeypatch, gens):
     return stacks[0], space
 
 
-def test_commutator_stack_matches_kron_formula(monkeypatch):
+def test_commutator_stack_matches_kron_formula():
     rng = np.random.default_rng(7)
     n = 4
     gens = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(3)]
-    stack, _ = _captured_stack(monkeypatch, gens)
+    stack = _sylvester_stack(gens)
     eye = np.eye(n)
     # oracle: vec(AX - XA) = (kron(A, I) - kron(I, A^T)) vec(X), row-major
     full = gens + [a.conj().T for a in gens]
     expected = np.vstack([np.kron(a, eye) - np.kron(eye, a.T) for a in full])
     assert stack.shape == expected.shape
     assert np.abs(stack - expected).max() <= 1e-15
+    # random generators leave only the scalars
+    assert assert_matches_oracle(gens).dim == 1
 
 
 def test_commutant_skips_adjoints_already_listed(monkeypatch):
     rng = np.random.default_rng(8)
     b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     a = np.kron(np.eye(2), b)  # commutant kron(M_2, I_3), dimension 4
+    assert _sylvester_stack([a, a.conj().T]).shape == _sylvester_stack([a]).shape == (72, 36)
     explicit, with_adjoint = _captured_stack(monkeypatch, [a, a.conj().T])
     implicit, without_adjoint = _captured_stack(monkeypatch, [a])
-    assert explicit.shape == implicit.shape == (2 * 36, 36)
+    # the engine's stage-2 matrix has n^2 rows per generator, adjoints included
+    assert explicit.shape == implicit.shape and explicit.shape[0] == 2 * 36
     assert with_adjoint.dim == without_adjoint.dim == 4
     assert projector_distance(with_adjoint, without_adjoint) <= DEFAULT_TOL.eq_tol
     # left translations of S3 are closed under adjoint: no block is added
     s3 = symmetric_group(3)
-    translations, _ = _captured_stack(monkeypatch, [left_regular(s3, x) for x in range(6)])
-    assert translations.shape == (6 * 36, 36)
+    translations = [left_regular(s3, x) for x in range(6)]
+    assert _sylvester_stack(translations).shape == (6 * 36, 36)
+    assert _captured_stack(monkeypatch, translations)[0].shape[0] == 6 * 36
+
+
+ORACLE_ZOO = ("Z6", "S3", "D4", "Q8", "Z2xZ4", "D6")
+
+
+@pytest.mark.parametrize("name", ORACLE_ZOO)
+def test_commutant_matches_the_stacked_oracle_on_every_subgroup(name):
+    g = builtin_group(name)
+    n = g.order
+    units = list(np.eye(n)[:, None, :] * np.eye(n)[:, :, None])  # the E_aa
+    for sub in all_subgroups(g):
+        space = assert_matches_oracle([left_regular(g, h) for h in sub] + units)
+        assert space.dim == n // len(sub)
+
+
+@pytest.mark.parametrize("name", ORACLE_ZOO)
+@pytest.mark.parametrize("level", ["identity", "group"])
+def test_double_commutant_second_pass_matches_the_stacked_oracle(name, level):
+    g = builtin_group(name)
+    n = g.order
+    members = [g.identity] if level == "identity" else range(n)
+    units = list(np.eye(n)[:, None, :] * np.eye(n)[:, :, None])
+    first = commutant([left_regular(g, x) for x in members] + units, n)
+    second = assert_matches_oracle(list(first.basis.T.reshape(-1, n, n)), n)
+    assert second.dim == n * len(members)
+
+
+def _skew(rng, n):
+    a = rng.standard_normal((n, n))
+    return a - a.T
+
+
+def _random_generators(case, rng):
+    n = 6
+    if case == "complex":
+        return [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2)]
+    if case == "skew":  # A + A* = 0, so h = 0
+        return [_skew(rng, n) for _ in range(2)]
+    if case == "scalar":
+        return [2.5 * np.eye(n), -1j * np.eye(n)]
+    if case == "skew_and_diagonal":  # h is diagonal with eigenvalue clusters 3, 2, 1
+        return [_skew(rng, n), np.diag([1.0, 1.0, 1.0, 2.0, 2.0, 3.0])]
+    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    return [np.kron(np.eye(2), b)]  # h = kron(I_2, .): every eigenvalue is double
+
+
+# case, commutant dimension, stage-2 columns (the kept pairs of h's clusters)
+RANDOM_CASES = [("complex", 1, 6), ("skew", 1, 36), ("scalar", 36, 36),
+                ("skew_and_diagonal", 1, 14), ("kron", 4, 12)]
+
+
+@pytest.mark.parametrize("case, dim, kept", RANDOM_CASES)
+def test_commutant_matches_the_stacked_oracle_on_random_generators(monkeypatch, case, dim, kept):
+    gens = _random_generators(case, np.random.default_rng(len(case)))
+    stage2, _ = _captured_stack(monkeypatch, gens)
+    assert stage2.shape[1] == kept
+    space = assert_matches_oracle(gens)
+    assert space.dim == dim
+    if case == "kron":  # the commutant is M_2 (x) I_3
+        m2 = [np.kron(np.eye(2)[:, [r]] @ np.eye(2)[[c], :], np.eye(3)) for r in range(2) for c in range(2)]
+        assert projector_distance(space, Subspace.from_span([m.reshape(-1) for m in m2])) <= 1e-10
+
+
+def test_block_diagonal_commutant_with_distinct_blocks():
+    rng = np.random.default_rng(11)
+    blocks = np.zeros((5, 5), dtype=complex)
+    blocks[:2, :2] = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    blocks[2:, 2:] = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    # the two block projections span the commutant
+    assert assert_matches_oracle([blocks]).dim == 2
+
+
+def test_nearly_equal_eigenvalues_are_kept_in_one_cluster(monkeypatch):
+    # h's spectrum holds 2c(1 + 1e-7) next to 2c: a gap wider than
+    # diagonal_cutoff but too narrow to trust the eigenvectors across at
+    # rank_tol, so stage 1 keeps the pair in one cluster
+    gen = np.diag([1.0, 1.0 + 1e-7, 3.0])
+    stage2, space = _captured_stack(monkeypatch, [gen])
+    assert stage2.shape == (9, 5)  # pairs (0,0), (0,1), (1,0), (1,1), (2,2)
+    assert space.dim == stacked_commutant([gen]).dim == 3
+    assert projector_distance(space, stacked_commutant([gen])) <= 1e-10
+
+
+def _rotated_eigh(angle):
+    """np.linalg.eigh with its eigenvectors rotated by a Cayley transform
+    of a fixed skew matrix of size ``angle``."""
+    eigh = np.linalg.eigh
+
+    def rotated(h, *args, **kwargs):
+        w, u = eigh(h, *args, **kwargs)
+        skew = angle * _skew(np.random.default_rng(12), len(w))
+        cayley = np.linalg.solve(np.eye(len(w)) - skew, np.eye(len(w)) + skew)
+        return w, u @ cayley
+
+    return rotated
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8"])
+def test_commutant_certification_fails_on_a_rotated_eigenbasis(monkeypatch, name):
+    g = builtin_group(name)
+    n = g.order
+    units = list(np.eye(n)[:, None, :] * np.eye(n)[:, :, None])
+    gens = [left_regular(g, x) for x in range(2)] + units
+    assert_matches_oracle(gens, n)
+    monkeypatch.setattr(np.linalg, "eigh", _rotated_eigh(5e-7))
+    with pytest.raises(LinAlgContractError, match="eigenvector residual .* smallest split gap"):
+        commutant(gens, n)
+
+
+def test_commutant_rejects_non_finite_generators():
+    for bad in (np.nan, np.inf):
+        gen = np.eye(3)
+        gen[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            commutant([gen])
+
+
+def test_commutant_certification_fails_on_a_dropped_generator(monkeypatch):
+    # stage 2 that sees only the first generator returns directions that
+    # commute with it but not with the rest; the residual check catches them
+    g = symmetric_group(3)
+    gens = [left_regular(g, x) for x in range(6)]
+    original = linalg.null_space
+
+    def first_block_only(mat, tol, scale=None):
+        return original(mat[:mat.shape[0] // len(gens)], tol, scale=scale)
+
+    monkeypatch.setattr(linalg, "null_space", first_block_only)
+    with pytest.raises(LinAlgContractError, match="commutator residual"):
+        commutant(gens)
 
 
 def _closure_failure(space, n):

@@ -352,6 +352,8 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
 
 
 def run(config: RunConfig) -> Report:
+    if config.count < 1:
+        raise ValueError(f"--count must be at least 1, got {config.count}")
     start = time.perf_counter()
     tol = config.tolerances()
     rng = np.random.default_rng(config.seed)
@@ -360,7 +362,7 @@ def run(config: RunConfig) -> Report:
         sigmas = _resolve_sigmas(config.sigma, group, config.count, rng)
         checks = _suite_verify(group, sigmas, tol)
     elif config.command == "support":
-        checks = _suite_support(group, max(config.count, 1), rng, tol)
+        checks = _suite_support(group, config.count, rng, tol)
     elif config.command == "fixed-points":
         mus = _resolve_mus(config.mu, group, config.count, rng)
         sigmas = _resolve_sigmas(config.sigma, group, config.count, rng)

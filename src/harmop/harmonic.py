@@ -276,18 +276,18 @@ def bullet_closure_residual(group: GroupTable, ideal: Subspace,
     """
     if ideal.dim == 0:
         return 0.0
-    n = group.order
-    proj, basis = ideal.projector, ideal.basis
+    n, basis = group.order, ideal.basis
     # row x: the flat indices of the stripe S_x
     stripes = np.argsort(displacement_table(group), axis=None, kind="stable").reshape(n, n)
-    residual = 0.0
-    for cols in stripes:
-        defect = proj[:, cols] @ basis[cols]
-        defect[cols] -= basis[cols]
-        residual = max(residual, float(np.linalg.norm(defect, axis=0).max()))
     stripe_sums = np.abs(basis[stripes].sum(axis=1)).max(axis=1)
-    unit_defect = np.linalg.norm(np.eye(n * n) - proj, axis=0)[stripes].max(axis=1)
-    return max(residual, float((stripe_sums * unit_defect).max()))
+    residual = 0.0
+    for cols, stripe_sum in zip(stripes, stripe_sums):
+        unit_defect = basis @ basis[cols].conj().T  # the stripe's columns of P ...
+        unit_defect[cols, np.arange(n)] -= 1.0  # ... and of P - I
+        defect = unit_defect @ basis[cols]
+        residual = max(residual, np.linalg.norm(defect, axis=0).max(),
+                       stripe_sum * np.linalg.norm(unit_defect, axis=0).max())
+    return float(residual)
 
 
 def _schur_masks(action: Superoperator, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,7 @@ exactly zero goes to float64 LAPACK, any other to complex128.  No tolerance
 is applied to the imaginary part, and every Subspace basis is complex128.
 Matrices embedded as ambient vectors are always vectorized row-major.  The
 order cap, the PSD test and the cutoff that decides sigma(x) = 1 live here
-once each.
+once each.  Subspaces are compared from their bases, never their projectors.
 
 A commutant is found in two stages.  Stage 1 splits the spectrum of one
 Hermitian element h of the generated algebra into clusters; that split is
@@ -91,8 +91,8 @@ def psd_eigh(k_mat, tol: Tolerances = DEFAULT_TOL) -> tuple[bool, np.ndarray, np
 class Subspace:
     """A linear subspace of C^ambient_dim as an orthonormal basis.
 
-    ``basis`` has shape (ambient_dim, dim) with orthonormal columns; the
-    orthogonal projector is cached on first use.
+    ``basis`` has shape (ambient_dim, dim) with orthonormal columns B.  Every
+    comparison works from B; no ambient_dim x ambient_dim projector B B* is formed.
     """
 
     def __init__(self, ambient_dim: int, basis: np.ndarray):
@@ -100,17 +100,15 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.basis.setflags(write=False)
-        self._projector: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    @property
-    def projector(self) -> np.ndarray:
-        if self._projector is None:
-            self._projector = self.basis @ self.basis.conj().T
-        return self._projector
+    def residuals(self, vectors) -> np.ndarray:
+        """||v - B B* v|| for each column v of ``vectors``, B in its own field."""
+        basis = _in_field(self.basis)
+        return np.linalg.norm(vectors - basis @ (basis.conj().T @ vectors), axis=0)
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
@@ -184,17 +182,20 @@ def range_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) 
 
 
 def projector_distance(a: Subspace, b: Subspace) -> float:
+    """||P_a - P_b||_F = hypot(||A - B M||_F, ||B - A M*||_F) with M = B* A: the two
+    terms of P_a (I - P_b) - (I - P_a) P_b are Frobenius-orthogonal, so nothing cancels."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    return float(np.linalg.norm(a.projector - b.projector))
+    pa, pb = _in_field(a.basis), _in_field(b.basis)
+    m = pb.conj().T @ pa
+    return math.hypot(np.linalg.norm(pa - pb @ m), np.linalg.norm(pb - pa @ m.conj().T))
 
 
 def inclusion_residual(a: Subspace, b: Subspace) -> float:
-    """||P_a P_b - P_a||_F, zero iff span(a) is contained in span(b)."""
+    """||P_a P_b - P_a||_F = ||(I - P_b) A||_F, zero iff span(a) <= span(b)."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError(f"ambient dimensions differ: {a.ambient_dim} vs {b.ambient_dim}")
-    pa, pb = a.projector, b.projector
-    return float(np.linalg.norm(pa @ pb - pa))
+    return float(np.linalg.norm(b.residuals(a.basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +299,10 @@ def double_commutant(generators, n: int | None = None,
     first = commutant(generators, n, tol)
     n = math.isqrt(first.ambient_dim)
     second = commutant(list(first.basis.T.reshape(-1, n, n)), n, tol)
-    basis = _in_field(second.basis)
-    mats = basis.T.reshape(-1, n, n)
+    mats = _in_field(second.basis).T.reshape(-1, n, n)
 
     def closed(vectors: np.ndarray) -> bool:
-        resid = np.linalg.norm(vectors - (vectors @ basis.conj()) @ basis.T, axis=1)
+        resid = second.residuals(vectors.T)
         return bool(np.all(resid <= tol.eq_tol * np.maximum(1.0, np.linalg.norm(vectors, axis=1))))
 
     if not closed(mats.conj().transpose(0, 2, 1).reshape(-1, n * n)):

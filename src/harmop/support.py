@@ -61,11 +61,11 @@ def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
     # ideal property: multiplying a basis element by any function stays
     # inside; the point masses suffice by bilinearity, and the product of
     # phi with the point mass at x leaves the space by |phi(x)| ||(P - I) e_x||
-    leak = np.linalg.norm(ideal.projector - np.eye(n), axis=0)
+    leak = ideal.residuals(np.eye(n))
     if np.any(np.abs(ideal.basis) * leak[:, None] > tol.eq_tol):
         raise LinAlgContractError("annihilator space is not an ideal; tolerances skewed")
     # x lies in the hull iff every ideal element vanishes at x iff the
     # orthonormal basis has a (numerically) zero row there
-    row_norms = np.linalg.norm(ideal.basis, axis=1) if ideal.dim else np.zeros(n)
+    row_norms = np.linalg.norm(ideal.basis, axis=1)
     hull = tuple(int(x) for x in np.flatnonzero(row_norms <= tol.rank_tol))
     return ideal, SupportSet(group, hull, tol.entry_tol)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,16 @@ def test_non_finite_tolerance_is_usage_error(command, tol, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tolerances must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_count_below_one_is_usage_error(command, count, capsys):
+    # a report of no instances checks nothing, so it is refused, not passed
+    assert main([command, "--group", "Z4", "--count", count]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"--count must be at least 1, got {count}" in captured.err
 
 
 @pytest.mark.parametrize("tol", [[], ["--tol", "1"]], ids=["default", "tol1"])
@@ -380,12 +391,14 @@ SIGNATURE_KEYS = (*COMMANDS, "verify --sigma gen:nonpd")
 SIGNATURES = Path(__file__).parent / "data" / "cli_signatures.json"
 
 
-def _signature(key: str, group: str) -> list[dict]:
-    """Check names, verdicts and, for exact checks (tolerance 0), the integer
-    metric of the fixed-seed report of the command line ``key``; a refactor
-    must leave these unchanged."""
+def _fixed_seed_report(key: str, group: str) -> Report:
     args = build_parser().parse_args([*key.split(), "--group", group, "--count", "2", "--seed", "0"])
-    report = run(RunConfig(**vars(args)))
+    return run(RunConfig(**vars(args)))
+
+
+def _signature(report: Report) -> list[dict]:
+    """Check names, verdicts and, for exact checks (tolerance 0), the integer
+    metric of a fixed-seed report; a refactor must leave these unchanged."""
     out = []
     for c in report.checks:
         entry = {"name": c.name, "passed": c.passed}
@@ -400,7 +413,13 @@ def _signature(key: str, group: str) -> list[dict]:
                          ids=lambda key: key.replace(" --sigma gen:", "-"))
 def test_fixed_seed_report_signature(key, group):
     expected = json.loads(SIGNATURES.read_text())[group][key]
-    assert _signature(key, group) == expected
+    report = _fixed_seed_report(key, group)
+    assert _signature(report) == expected
+    # every toleranced metric keeps a wide margin (the largest is about 1e-14),
+    # so a comparison that loses precision fails here before a verdict flips
+    loose = [(c.name, c.metric) for c in report.checks
+             if c.tolerance > 0 and not (math.isfinite(c.metric) and c.metric <= 1e-12)]
+    assert loose == []
 
 
 def test_nonpd_verify_runs_the_three_routes_once_per_sigma(monkeypatch):

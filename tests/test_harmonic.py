@@ -45,6 +45,7 @@ from harmop.actions import (
     theta_hat,
     transpose_index,
 )
+from harmop.support import annihilator_ideal, operator_support
 from harmop.harmonic import (
     bullet_closure_residual,
     fixed_points,
@@ -63,11 +64,12 @@ from harmop.generators import (
     random_nonadapted_measure,
     random_operator,
     random_positive_definite,
+    random_sparse_operator,
     random_translation_combination,
     random_unit_at_identity,
 )
 
-from spans import in_span
+from spans import in_span, projector
 from test_actions import right_regular, trace_pairing
 
 Z2 = cyclic_group(2)
@@ -269,6 +271,35 @@ def test_verdicts_hold_across_a_decade_of_rank_tol(name, rank_tol):
         assert verify_main_theorem(random_positive_definite(g, rng), tol).passed
 
 
+@pytest.mark.parametrize("rank_tol", [1e-10, 1e-9, 1e-8])
+@pytest.mark.parametrize("name", SWEEP_ZOO)
+def test_support_fixed_points_and_ideals_hold_across_a_decade_of_rank_tol(name, rank_tol):
+    tol = Tolerances(rank_tol=rank_tol)
+    g = builtin_group(name)
+    n = g.order
+    rng = np.random.default_rng(SWEEP_ZOO.index(name))
+    # the hull of the annihilator ideal is the support, and the ideal is the
+    # functions vanishing there
+    for density in (0.05, 0.3):
+        t_mat = random_sparse_operator(g, rng, density)
+        ideal, hull = annihilator_ideal(g, t_mat, tol)
+        supp = operator_support(g, t_mat, tol)
+        assert hull.members == supp.members
+        assert ideal.dim == n - len(supp)
+    # the fixed points and the pre-annihilator ideal are complementary
+    for action in (theta(random_adapted_measure(g, rng)),
+                   theta(random_nonadapted_measure(g, rng)),
+                   theta_hat(random_positive_definite(g, rng))):
+        assert fixed_points(action, tol).dim + pre_annihilator_ideal(action, tol).dim == n * n
+    # the harmonic functions have the index dimension, the Willis ideal the rest
+    for mu in (random_adapted_measure(g, rng), random_nonadapted_measure(g, rng)):
+        index = n // len(generated_subgroup(g, mu.support(tol)))
+        assert harmonic_functions(mu, tol).dim == index
+        assert willis_ideal(mu, tol).dim == n - index
+    for _ in range(2):
+        assert linfty_perp_suite(random_positive_definite(g, rng), tol).passed
+
+
 def test_main_theorem_constant_sigma_gives_everything():
     report = verify_main_theorem(constant_function(S3))
     assert report.passed
@@ -393,7 +424,7 @@ def test_limit_product_agrees_with_independent_routes(name):
             op_limit = limit_product("operator", s_mat, t_mat, mu)
             diag_limit = limit_product("operator", mult_op(f), mult_op(g_fn), mu)
         # function mode: the orthogonal projector onto the null space of C - I
-        projected = harmonic_functions(mu).projector @ (f.values * g_fn.values)
+        projected = projector(harmonic_functions(mu)) @ (f.values * g_fn.values)
         assert np.abs(limit.values - projected).max() <= 1e-12
         # operator mode: a fixed point of Theta(mu), reached by its Cesaro averages
         action = theta(mu)
@@ -684,7 +715,7 @@ def _closure_residual_by_products(group, ideal):
     mask with a basis element, project, and loop over the basis for the
     products with matrix units on the right."""
     n = group.order
-    proj = ideal.projector
+    proj = projector(ideal)
     mats = [ideal.basis[:, k].reshape(n, n) for k in range(ideal.dim)]
     residual = 0.0
     products = []

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from harmop.linalg import (
     range_space,
 )
 
-from spans import in_span
+from spans import in_span, projector
 
 
 def test_tolerances_positive():
@@ -41,7 +43,7 @@ def test_null_space_rank_one():
     space = null_space(np.array([[1.0, 1.0], [1.0, 1.0]]))
     assert space.dim == 1
     expected = 0.5 * np.array([[1.0, -1.0], [-1.0, 1.0]])  # projector onto (1,-1)/sqrt 2
-    assert np.abs(space.projector - expected).max() < 1e-12
+    assert np.abs(projector(space) - expected).max() < 1e-12
 
 
 def test_null_space_residual_bound():
@@ -55,17 +57,24 @@ def test_null_space_residual_bound():
             assert np.linalg.norm(mat @ space.basis[:, k]) <= 10 * DEFAULT_TOL.rank_tol * norm
 
 
-def test_subspace_projector_laws():
+def test_subspace_residual_laws():
     rng = np.random.default_rng(1)
     vectors = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     space = Subspace.from_span(vectors)
-    p = space.projector
-    assert np.abs(p @ p - p).max() < 1e-12
-    assert np.abs(p - p.conj().T).max() < 1e-12
-    for k in range(space.dim):
-        b = space.basis[:, k]
-        assert np.linalg.norm(p @ b - b) < 1e-12
-    assert space.dim == round(np.trace(p).real)
+    assert space.dim == 3
+    # zero on the basis columns
+    assert space.residuals(space.basis).max() < 1e-12
+    # ||w|| on a vector orthogonal to the span
+    w = 2.5 * null_space(space.basis.conj().T).basis[:, 0]
+    assert abs(space.residuals(w[:, None])[0] - np.linalg.norm(w)) < 1e-12
+    # Pythagoras: adding a span element leaves the residual at ||w||, while
+    # the vector's own norm grows to hypot(||v||, ||w||)
+    v = space.basis @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+    assert abs(space.residuals((v + w)[:, None])[0] - np.linalg.norm(w)) < 1e-12
+    assert abs(np.linalg.norm(v + w) - np.hypot(np.linalg.norm(v), np.linalg.norm(w))) < 1e-12
+    # one residual per column
+    together = space.residuals(np.stack([v, w, v + w], axis=1))
+    assert np.allclose(together, [0.0, np.linalg.norm(w), np.linalg.norm(w)], atol=1e-12)
 
 
 def test_subspace_equal_different_bases():
@@ -86,7 +95,7 @@ def test_subspace_equal_tiny_perturbation():
     a = Subspace.from_span([[1.0, 0.0]])
     b = Subspace.from_span([[1.0, eps]])
     # projector distance of two lines at angle ~eps is ~sqrt(2)*eps
-    direct = np.abs(a.projector - b.projector).max()
+    direct = np.abs(projector(a) - projector(b)).max()
     assert direct < 1e-8
     assert projector_distance(a, b) <= 1e-8
 
@@ -98,6 +107,64 @@ def test_subspace_contains():
     assert inclusion_residual(plane, line) > 1e-8
     with pytest.raises(ValueError):
         inclusion_residual(line, Subspace.full(2))
+
+
+def _comparison_pairs():
+    """Seeded pairs of subspaces of C^12: nested, equal with different bases,
+    orthogonal, zero-dimensional, full, and lines at angle 1e-12; each both
+    complex and real, so both fields of the basis formulas are reached."""
+    rng = np.random.default_rng(21)
+    n = 12
+    pairs = {}
+    for field, imag in (("complex", 1j), ("real", 0.0)):
+        def draw(*shape):
+            return rng.standard_normal(shape) + imag * rng.standard_normal(shape)
+
+        span = Subspace.from_span(draw(5, n))
+        rebased = Subspace(n, np.linalg.qr(span.basis @ draw(5, 5))[0])
+        line = Subspace.from_span(span.basis[:, :1].T)
+        ortho = null_space(span.basis.conj().T).basis[:, 0]
+        tilted = Subspace(n, np.cos(1e-12) * line.basis[:, 0] + np.sin(1e-12) * ortho)
+        pairs.update({
+            f"{field}-nested": (Subspace.from_span(span.basis[:, :2].T), span),
+            f"{field}-equal": (span, rebased),
+            f"{field}-orthogonal": (span, null_space(span.basis.conj().T)),
+            f"{field}-zero": (Subspace.zero(n), span),
+            f"{field}-full": (Subspace.full(n), span),
+            f"{field}-angle": (line, tilted),
+        })
+    return pairs
+
+
+@pytest.mark.parametrize("pair", sorted(_comparison_pairs()))
+def test_basis_comparisons_match_the_dense_projector_oracle(pair):
+    a, b = _comparison_pairs()[pair]
+    pa, pb = projector(a), projector(b)
+    for x, y, px, py in ((a, b, pa, pb), (b, a, pb, pa)):
+        assert abs(projector_distance(x, y) - np.linalg.norm(px - py)) <= 1e-14
+        assert abs(inclusion_residual(x, y) - np.linalg.norm(px @ py - px)) <= 1e-14
+
+
+def test_basis_comparisons_reject_different_ambient_dimensions():
+    for compare in (projector_distance, inclusion_residual):
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            compare(Subspace.full(3), Subspace.full(4))
+
+
+def test_projector_distance_allocates_no_ambient_square():
+    # two bases of one 24-dimensional span in C^576; one complex 576 x 576
+    # projector alone is 5.3 MB
+    rng = np.random.default_rng(5)
+    a = Subspace.from_span(rng.standard_normal((24, 576)) + 1j * rng.standard_normal((24, 576)))
+    b = Subspace(576, np.linalg.qr(a.basis @ rng.standard_normal((24, 24)))[0])
+    tracemalloc.start()
+    try:
+        distance = projector_distance(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert distance <= DEFAULT_TOL.eq_tol
+    assert peak < 1 << 20
 
 
 def test_range_space():
@@ -214,7 +281,7 @@ def test_null_space_drops_zero_rows_only():
     mat, _ = _tall_stack_with_known_kernel()
     padded = np.zeros((7200, 60), dtype=complex)
     padded[::2] = mat
-    assert projector_distance(null_space(padded), null_space(mat)) == 0.0
+    assert np.array_equal(null_space(padded).basis, null_space(mat).basis)
     assert null_space(np.zeros((5, 3))).dim == 3
 
 

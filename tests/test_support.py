@@ -9,7 +9,7 @@ from harmop.actions import displacement_table, left_regular, mult_op, theta_hat
 from harmop.harmonic import limit_product
 from harmop.support import annihilator_ideal, operator_support
 
-from spans import in_span
+from spans import in_span, projector
 
 S3 = symmetric_group(3)
 D4 = dihedral_group(4)
@@ -142,7 +142,7 @@ def test_support_of_subgroup_indicator_mask():
 
 def _is_ideal_by_loop(space):
     # the (basis column, point mass) loop that the closed form replaced
-    proj = space.projector
+    proj = projector(space)
     for k in range(space.dim):
         for x in range(space.ambient_dim):
             prod = np.zeros(space.ambient_dim, dtype=complex)

@@ -4,7 +4,6 @@ group, operator supports, fixed-point spaces and their commutant
 descriptions, and ideals in the trace-class predual."""
 
 from .groups import (
-    Character,
     GroupTable,
     GroupTableError,
     SchemaError,

@@ -63,6 +63,8 @@ from .generators import (
 )
 
 COMMANDS = ("verify", "support", "fixed-points", "ideals", "limit-product")
+SIGMA_GENERATORS = ("gen:pd", "gen:nonpd", "gen:delta")
+MU_GENERATORS = ("gen:adapted", "gen:uniform", "gen:random")
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,15 @@ def _resolve_group(spec: str) -> GroupTable:
     return builtin_group(spec)
 
 
+def _read_spec(spec: str, generators: tuple[str, ...]) -> dict:
+    """The JSON document of a file spec; a gen: spec that is not one of
+    ``generators`` is a ValueError, not a missing file."""
+    if spec.startswith("gen:"):
+        raise ValueError(f"unknown generator {spec!r}; expected one of {', '.join(generators)} "
+                         "or a JSON file")
+    return json.loads(Path(spec).read_text())
+
+
 def _resolve_sigmas(spec: str, group: GroupTable, count: int,
                     rng: np.random.Generator) -> list[tuple[str, GroupFunction]]:
     if spec == "gen:pd":
@@ -135,8 +146,7 @@ def _resolve_sigmas(spec: str, group: GroupTable, count: int,
         return out
     if spec == "gen:delta":
         return [("delta_e", delta_function(group, group.identity))]
-    doc = json.loads(Path(spec).read_text())
-    return [(Path(spec).stem, function_from_json(doc, group))]
+    return [(Path(spec).stem, function_from_json(_read_spec(spec, SIGMA_GENERATORS), group))]
 
 
 def _resolve_mus(spec: str, group: GroupTable, count: int,
@@ -147,8 +157,7 @@ def _resolve_mus(spec: str, group: GroupTable, count: int,
         return [("uniform", uniform_measure(group))]
     if spec == "gen:random":
         return [(f"random{i}", random_probability_measure(group, rng)) for i in range(count)]
-    doc = json.loads(Path(spec).read_text())
-    return [(Path(spec).stem, measure_from_json(doc, group))]
+    return [(Path(spec).stem, measure_from_json(_read_spec(spec, MU_GENERATORS), group))]
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +174,7 @@ def _suite_verify(group: GroupTable, sigmas, tol: Tolerances) -> Iterator[CheckR
             tolerance=tol.eq_tol,
         )
     for name, sigma in sigmas:
-        report = verify_main_theorem(sigma, tol, parameter=name)
+        report = verify_main_theorem(sigma, tol)
         if report.p1_mode:
             yield CheckRecord(
                 name=f"verify/{name}/dimension",
@@ -318,8 +327,7 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
                          rng: np.random.Generator) -> Iterator[CheckRecord]:
     for name, mu in mus:
         c, d = rng.standard_normal(2)
-        limit = limit_product("function", constant_function(group, c),
-                              constant_function(group, d), mu, tol)
+        limit = limit_product(constant_function(group, c), constant_function(group, d), mu, tol)
         metric = float(np.abs(limit.values - c * d).max())
         yield CheckRecord(
             name=f"limit-product/{name}/constants",
@@ -329,8 +337,7 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
         )
         s_mat = random_translation_combination(group, rng)
         t_mat = random_translation_combination(group, rng)
-        metric = float(np.abs(limit_product("operator", s_mat, t_mat, mu, tol)
-                              - s_mat @ t_mat).max())
+        metric = float(np.abs(limit_product(s_mat, t_mat, mu, tol) - s_mat @ t_mat).max())
         yield CheckRecord(
             name=f"limit-product/{name}/operator_mode",
             statement="the operator-mode ergodic limit of the product of two translation "
@@ -342,7 +349,7 @@ def _suite_limit_product(group: GroupTable, mus, tol: Tolerances,
     # random f, g on purpose: the uniform measure's harmonic functions are constants
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r".* factor is not harmonic", UserWarning)
-        limit = limit_product("function", f, g_fn, uniform_measure(group), tol)
+        limit = limit_product(f, g_fn, uniform_measure(group), tol)
     metric = float(np.abs(limit.values - np.mean(f.values * g_fn.values)).max())
     yield CheckRecord(
         name="limit-product/uniform/mean",
@@ -446,9 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group", required=True,
                         help="builtin name (Z6, D4, S3, Q8, Z2xZ4, ...) or JSON file")
     parser.add_argument("--sigma", default="gen:pd",
-                        help="function file, gen:pd, gen:nonpd, or gen:delta")
+                        help=f"function file or one of {', '.join(SIGMA_GENERATORS)}")
     parser.add_argument("--mu", default="gen:adapted",
-                        help="measure file, gen:adapted, gen:uniform, or gen:random")
+                        help=f"measure file or one of {', '.join(MU_GENERATORS)}")
     parser.add_argument("--count", type=int, default=5,
                         help="number of generated random instances")
     parser.add_argument("--tol", type=float, default=1e-8,

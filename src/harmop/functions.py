@@ -168,15 +168,13 @@ def is_adapted_measure(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> bool:
 # Fourier-Stieltjes side (abelian groups)
 
 def fs_transform(mu: Measure) -> np.ndarray:
-    """mu_hat(gamma) = sum_x conj(gamma(x)) mu(x), aligned with characters(G)
-    (trivial character first)."""
-    chars = characters(mu.group)
-    return np.array([np.sum(np.conj(ch.values) * mu.weights) for ch in chars])
+    """mu_hat(gamma) = sum_x conj(gamma(x)) mu(x), aligned with the rows of
+    characters(G) (trivial character first)."""
+    return characters(mu.group).conj() @ mu.weights
 
 
 @dataclass(frozen=True)
 class AdaptednessReport:
-    group_name: str
     measure_side: bool
     transform_side: bool
     unit_characters: tuple[int, ...]
@@ -195,7 +193,7 @@ def check_adaptedness_equivalence(mu: Measure,
     hat = fs_transform(mu)
     unit = tuple(int(i) for i in np.flatnonzero(np.abs(hat - 1.0) <= tol.eq_tol))
     transform_side = unit == (0,)
-    return AdaptednessReport(mu.group.name, measure_side, transform_side, unit, tol.eq_tol)
+    return AdaptednessReport(measure_side, transform_side, unit, tol.eq_tol)
 
 
 # ---------------------------------------------------------------------------

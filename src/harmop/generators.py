@@ -14,11 +14,7 @@ def random_positive_definite(group: GroupTable, rng: np.random.Generator) -> Gro
     positive definite with sigma(e) = 1 by construction."""
     n = group.order
     xi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    norm_sq = np.vdot(xi, xi)
-    values = np.array(
-        [np.vdot(xi, xi[group.table[group.inv(x)]]) for x in range(n)]
-    )
-    return GroupFunction(group, values / norm_sq)
+    return GroupFunction(group, xi[group.table[group.inverse]] @ xi.conj() / np.vdot(xi, xi))
 
 
 def random_unit_at_identity(group: GroupTable, rng: np.random.Generator,

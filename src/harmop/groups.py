@@ -62,9 +62,6 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
 
-    def inv(self, a: int) -> int:
-        return int(self.inverse[a])
-
     def __len__(self) -> int:
         return self.order
 
@@ -364,19 +361,9 @@ def all_subgroups(group: GroupTable) -> list[Subgroup]:
     return sorted(found.values(), key=lambda s: (len(s), s.members))
 
 
-@dataclass(frozen=True)
-class Character:
-    """A multiplicative map into the unit circle, given by its value vector."""
-
-    group: GroupTable
-    values: np.ndarray
-
-    def __call__(self, x: int) -> complex:
-        return complex(self.values[x])
-
-
-def characters(group: GroupTable) -> list[Character]:
-    """All |G| characters of an abelian group.
+def characters(group: GroupTable) -> np.ndarray:
+    """All |G| characters of an abelian group, one per row of a read-only
+    (n, n) complex array, the trivial character first.
 
     Works up a tower of cyclic extensions: each new generator g with g^d the
     first power landing in the current subgroup multiplies the character count
@@ -410,7 +397,6 @@ def characters(group: GroupTable) -> list[Character]:
         members = block.reshape(-1)
         inside[members] = True
         exps = grown.reshape(-1, n)
-    out = [Character(group, np.exp(2j * np.pi * k / big_l)) for k in exps]
-    for ch in out:
-        ch.values.setflags(write=False)
+    out = np.exp(2j * np.pi * exps / big_l)
+    out.setflags(write=False)
     return out

@@ -114,8 +114,6 @@ def _bimodule_span(group: GroupTable, level, tol: Tolerances) -> Subspace:
 class HarmonicReport:
     """Verdict of the three-route computation of the harmonic-operator algebra."""
 
-    group_name: str
-    parameter: str
     p1_mode: bool
     level_set: tuple[int, ...]
     dims: dict[str, int]
@@ -140,8 +138,7 @@ class HarmonicReport:
         return self.distance <= self.eq_tol and self.dimension_defect == 0  # NaN fails
 
 
-def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
-                        parameter: str = "sigma") -> HarmonicReport:
+def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> HarmonicReport:
     """Compare three independent routes to the sigma-harmonic operators.
 
     (A) fixed points of the multiplier action, as a dense null space;
@@ -187,8 +184,6 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
         }
         expected = None
     return HarmonicReport(
-        group_name=g.name,
-        parameter=parameter,
         p1_mode=p1,
         level_set=level,
         dims=dims,
@@ -201,8 +196,7 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL,
 # ---------------------------------------------------------------------------
 # limit products
 
-def limit_product(mode: str, a, b, mu: Measure,
-                  tol: Tolerances = DEFAULT_TOL) -> GroupFunction | np.ndarray:
+def limit_product(a, b, mu: Measure, tol: Tolerances = DEFAULT_TOL) -> GroupFunction | np.ndarray:
     """Ergodic product of two harmonic elements: the limit of the Cesaro
     averages of the n-th power of the action of mu on the plain product.
 
@@ -212,10 +206,11 @@ def limit_product(mode: str, a, b, mu: Measure,
     subgroup H that supp mu generates.  The limit is that coset average,
     taken exactly, periodic walks included.
 
-    mode="function": a, b are functions; returns the coset average of a*b.
-    mode="operator": a, b are operators.  Theta(mu) acts on the stripe row
-    b -> T[x b, b] of each x as convolution by mu, so the limit of
-    Theta(mu)^n (a @ b) is the coset average of every stripe row of a @ b.
+    Two GroupFunctions: returns the coset average of a*b as a GroupFunction.
+    Two operators: Theta(mu) acts on the stripe row b -> T[x b, b] of each x
+    as convolution by mu, so the limit of Theta(mu)^n (a @ b) is the coset
+    average of every stripe row of a @ b.  A GroupFunction against an
+    operator is a ValueError.
     """
     if not mu.is_probability(tol):
         raise ValueError("limit products are defined for probability measures")
@@ -227,15 +222,16 @@ def limit_product(mode: str, a, b, mu: Measure,
         out[..., cosets] = values[..., cosets].mean(axis=-1, keepdims=True)
         return out
 
-    if mode == "function":
-        if not (isinstance(a, GroupFunction) and isinstance(b, GroupFunction)):
-            raise ValueError("function mode expects GroupFunction inputs")
+    on_functions = isinstance(a, GroupFunction)
+    if on_functions != isinstance(b, GroupFunction):
+        raise ValueError("limit_product takes two GroupFunctions or two operators, not one of each")
+    if on_functions:
         if not (same_group(a.group, g) and same_group(b.group, g)):
             raise ValueError("functions and measure live on different groups")
         project = average
         factors = (a.values, b.values)
         product = a.values * b.values
-    elif mode == "operator":
+    else:
         stripes = (g.table, np.arange(g.order))  # T[stripes][x, b] = T[x b, b]
 
         def project(t_mat: np.ndarray) -> np.ndarray:
@@ -245,13 +241,11 @@ def limit_product(mode: str, a, b, mu: Measure,
 
         factors = (_operator(g, a), _operator(g, b))
         product = factors[0] @ factors[1]
-    else:
-        raise ValueError(f"mode must be 'function' or 'operator', got {mode!r}")
     for name, f in zip(("first", "second"), factors):
         if np.abs(project(f) - f).max() > tol.eq_tol:
             warnings.warn(f"{name} factor is not harmonic for this measure")
     limit = project(product)
-    return GroupFunction(g, limit) if mode == "function" else limit
+    return GroupFunction(g, limit) if on_functions else limit
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +306,6 @@ def _stripe_cut(group: GroupTable, mask: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class IdealSuiteReport:
-    group_name: str
     sigma_at_identity_is_one: bool
     dim_ideal: int
     dim_fixed: int
@@ -393,7 +386,6 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     traces = np.trace(units, axis1=1, axis2=2)[:, None, None]
     quotient = float(np.abs(bullet(g, units, np.eye(n)) - traces * np.eye(n)).max())
     return IdealSuiteReport(
-        group_name=g.name,
         sigma_at_identity_is_one=sigma_e,
         dim_ideal=int(np.count_nonzero(ideal)),
         dim_fixed=int(np.count_nonzero(fixed)),
@@ -411,8 +403,6 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
 
 @dataclass(frozen=True)
 class InvariantAlgebraReport:
-    group_name: str
-    subgroup: tuple[int, ...]
     orbit_count: int
     dim_invariant: int
     dim_commutant: int
@@ -444,8 +434,6 @@ def invariant_algebra(subgroup: Subgroup, tol: Tolerances = DEFAULT_TOL) -> Inva
     gens = [left_regular(g, h) for h in subgroup] + _diagonal_units(n)
     comm = commutant(gens, n, tol)
     return InvariantAlgebraReport(
-        group_name=g.name,
-        subgroup=subgroup.members,
         orbit_count=len(cosets),
         dim_invariant=invariant.dim,
         dim_commutant=comm.dim,

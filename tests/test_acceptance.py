@@ -298,19 +298,19 @@ def test_criterion_09_limit_products():
             for _ in range(10):
                 mu = make_measure(group, rng)
                 c, d = rng.standard_normal(2)
-                limit = limit_product("function", constant_function(group, c),
+                limit = limit_product(constant_function(group, c),
                                       constant_function(group, d), mu)
                 assert np.abs(limit.values - c * d).max() <= 1e-10, group.name
                 s_mat = random_translation_combination(group, rng)
                 t_mat = random_translation_combination(group, rng)
-                limit = limit_product("operator", s_mat, t_mat, mu)
+                limit = limit_product(s_mat, t_mat, mu)
                 assert np.abs(theta(mu).apply(limit) - limit).max() <= 1e-10, group.name
                 assert np.abs(limit - s_mat @ t_mat).max() <= 1e-10, group.name
                 # a non-harmonic product still has a harmonic limit
                 f = GroupFunction(group, rng.standard_normal(n))
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", "first factor is not harmonic")
-                    limit = limit_product("function", f, constant_function(group, c), mu)
+                    limit = limit_product(f, constant_function(group, c), mu)
                 assert np.abs(convolve(mu, limit).values - limit.values).max() <= 1e-10
                 assert abs(limit.values.sum() - c * f.values.sum()) <= 1e-10, group.name
     print("\nACCEPTANCE 9 (ergodic limit products): PASS")

@@ -57,7 +57,7 @@ def _rand_fn(group, rng):
 
 def right_regular(group, x):
     """rho(x): permutation matrix sending delta_b to delta_{b x^-1}."""
-    return actions._perm_matrix(group.table[:, group.inv(x)])
+    return actions._perm_matrix(group.table[:, int(group.inverse[x])])
 
 
 def trace_pairing(t_mat, omega):
@@ -84,7 +84,7 @@ def test_left_regular_composition_and_unitarity():
     g = S3
     for x in range(6):
         lam = left_regular(g, x)
-        assert np.array_equal(lam @ left_regular(g, g.inv(x)), np.eye(6))
+        assert np.array_equal(lam @ left_regular(g, int(g.inverse[x])), np.eye(6))
         assert np.abs(lam @ lam.conj().T - np.eye(6)).max() == 0.0
         for y in range(6):
             assert np.array_equal(lam @ left_regular(g, y), left_regular(g, g.mul(x, y)))
@@ -112,7 +112,7 @@ def test_regular_action_on_functions():
     for x in range(6):
         for b in range(6):
             assert left_regular(g, x)[g.mul(x, b), b] == 1.0
-            assert right_regular(g, x)[g.mul(b, g.inv(x)), b] == 1.0
+            assert right_regular(g, x)[g.mul(b, int(g.inverse[x])), b] == 1.0
 
 
 def test_mult_op_diagonal():
@@ -182,7 +182,7 @@ def test_theta_duality_formula():
     lhs = trace_pairing(theta(mu).apply(t_mat), omega)
     rhs = sum(
         mu.weights[t] * trace_pairing(
-            right_regular(S3, t) @ t_mat @ right_regular(S3, S3.inv(t)), omega
+            right_regular(S3, t) @ t_mat @ right_regular(S3, int(S3.inverse[t])), omega
         )
         for t in range(6)
     )
@@ -378,7 +378,7 @@ def test_fundamental_unitary_basis_action():
             src = np.zeros(9)
             src[3 * a + b] = 1.0
             dst = w @ src
-            assert dst[3 * a + g.mul(g.inv(a), b)] == 1.0
+            assert dst[3 * a + g.mul(int(g.inverse[a]), b)] == 1.0
 
 
 def test_dual_unitary_identity():
@@ -404,7 +404,7 @@ def test_comultiplication_of_matrix_units():
     g = Z3
     for a in range(3):
         for b in range(3):
-            expected = np.kron(left_regular(g, g.mul(a, g.inv(b))), _unit(g, a, b))
+            expected = np.kron(left_regular(g, g.mul(a, int(g.inverse[b]))), _unit(g, a, b))
             assert np.abs(comultiplication(g, _unit(g, a, b)) - expected).max() == 0.0
 
 
@@ -653,7 +653,7 @@ def test_left_module_action_on_matrix_units():
         for b in range(4):
             out = module_action(Z4, "left", omega, _unit(Z4, a, b))
             coeff = trace_pairing(_unit(Z4, a, b), omega)
-            expected = coeff * left_regular(Z4, Z4.mul(a, Z4.inv(b)))
+            expected = coeff * left_regular(Z4, Z4.mul(a, int(Z4.inverse[b])))
             assert np.abs(out - expected).max() < 1e-12
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from harmop.cli import (
     COMMANDS,
+    MU_GENERATORS,
+    SIGMA_GENERATORS,
     CheckRecord,
     Report,
     RunConfig,
@@ -189,12 +192,13 @@ def test_support_runs_at_the_order_cap(capsys):
 
 def test_failed_check_gives_exit_one(monkeypatch, capsys):
     import harmop.cli as cli
-    from harmop.functions import GroupFunction
 
-    def unaveraged_product(mode, a, b, *args, **kwargs):
+    def unaveraged_product(a, b, *args, **kwargs):
         # the product before any averaging: right for constants and for
         # translation combinations, wrong for random f, g under the uniform measure
-        return a @ b if mode == "operator" else GroupFunction(a.group, a.values * b.values)
+        if isinstance(a, GroupFunction):
+            return GroupFunction(a.group, a.values * b.values)
+        return a @ b
 
     monkeypatch.setattr(cli, "limit_product", unaveraged_product)
     code = main(["limit-product", "--group", "Z4", "--count", "1"])
@@ -237,10 +241,11 @@ def test_wrong_operator_limit_product_fails(monkeypatch, capsys):
 
     original = cli.limit_product
 
-    def reversed_product(mode, a, b, *args, **kwargs):
+    def reversed_product(a, b, *args, **kwargs):
         # t @ s differs from s @ t for translation combinations on S3
-        return original(mode, b, a, *args, **kwargs) if mode == "operator" \
-            else original(mode, a, b, *args, **kwargs)
+        if isinstance(a, GroupFunction):
+            return original(a, b, *args, **kwargs)
+        return original(b, a, *args, **kwargs)
 
     monkeypatch.setattr(cli, "limit_product", reversed_product)
     assert main(["limit-product", "--group", "S3", "--count", "1"]) == 1
@@ -262,6 +267,33 @@ def test_non_finite_input_file_exits_two(command, option, bad, tmp_path, capsys)
     path.write_text(json.dumps(doc))  # Infinity / NaN, which json reads back
     assert main([command, "--group", "Z4", option, str(path), "--count", "1"]) == 2
     assert "non-finite at [1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, spec", [("verify", "--sigma", "gen:pdd"),
+                                                   ("fixed-points", "--mu", "gen:nonadapted")])
+def test_unknown_generator_exits_two_naming_the_generators(command, option, spec, capsys):
+    names = SIGMA_GENERATORS if option == "--sigma" else MU_GENERATORS
+    assert main([command, "--group", "Z6", option, spec, "--count", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"unknown generator {spec!r}" in err and "No such file" not in err
+    assert all(name in err for name in names)
+    # the --help strings and the README list the same generators
+    help_text = build_parser().format_help()
+    assert re.findall(r"gen:\w+", help_text) == [*SIGMA_GENERATORS, *MU_GENERATORS]
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    bullet = readme.split(f"* `{option}` takes")[1].split("\n* ")[0]
+    assert re.findall(r"`(gen:\w+)`", bullet) == list(names)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["verify", "--group", "S3", "--sigma", "gen:delta"], {"delta_e"}),
+    (["fixed-points", "--group", "Z4", "--mu", "gen:uniform"], {"uniform"}),
+    (["ideals", "--group", "Z4", "--mu", "gen:random"], {"random0", "random1"}),
+], ids=["delta", "uniform", "random"])
+def test_documented_generators_run(argv, expected, capsys):
+    assert main([*argv, "--count", "2"]) == 0
+    names = {c["name"].split("/")[1] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert expected <= names
 
 
 def test_verdict_is_metric_within_tolerance():
@@ -341,9 +373,8 @@ def test_nan_route_distance_fails_verify(monkeypatch, capsys):
 
 
 def _harmonic_report(dims, distances, expected_dim=2):
-    return HarmonicReport(group_name="Z2", parameter="sigma", p1_mode=True, level_set=(0,),
-                          dims=dims, expected_dim=expected_dim, distances=distances,
-                          eq_tol=1e-8)
+    return HarmonicReport(p1_mode=True, level_set=(0,), dims=dims, expected_dim=expected_dim,
+                          distances=distances, eq_tol=1e-8)
 
 
 def test_harmonic_report_verdict_reads_distance_and_dimension_defect():
@@ -428,13 +459,15 @@ def test_nonpd_verify_runs_the_three_routes_once_per_sigma(monkeypatch):
     calls = []
     original = cli.verify_main_theorem
 
-    def counting(sigma, tol, parameter="sigma"):
-        calls.append(parameter)
-        return original(sigma, tol, parameter=parameter)
+    def counting(sigma, tol):
+        calls.append(sigma.values.tobytes())
+        return original(sigma, tol)
 
     monkeypatch.setattr(cli, "verify_main_theorem", counting)
     report = run(RunConfig(command="verify", group="S3", sigma="gen:nonpd", count=3, seed=0))
-    assert sorted(calls) == ["nonpd0", "nonpd1", "nonpd2"]
+    sigmas = cli._resolve_sigmas("gen:nonpd", symmetric_group(3), 3, np.random.default_rng(0))
+    assert calls == [sigma.values.tobytes() for _, sigma in sigmas]
+    assert len(set(calls)) == 3
     assert report.passed
 
 

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -55,11 +57,11 @@ def test_constant_one_positive_definite():
 
 def test_character_positive_definite_rank_one_gram():
     gamma = characters(Z4)[1]
-    sigma = GroupFunction(Z4, gamma.values)
+    sigma = GroupFunction(Z4, gamma)
     ok, witness = is_positive_definite(sigma)
     assert ok
     # K[x][y] = gamma(x)^-1 gamma(y) = conj(gamma(x)) gamma(y), a rank-1 Gram
-    expected = np.outer(np.conj(gamma.values), gamma.values)
+    expected = np.outer(np.conj(gamma), gamma)
     assert np.abs(witness.gram - expected).max() < 1e-12
     assert np.linalg.matrix_rank(witness.gram) == 1
 
@@ -74,11 +76,16 @@ def test_pd_consequences():
     rng = np.random.default_rng(0)
     for group in (Z6, S3):
         for _ in range(5):
+            replay = copy.deepcopy(rng)
             sigma = random_positive_definite(group, rng)
             vals = sigma.values
             assert np.all(np.abs(vals) <= abs(vals[0]) + 1e-12)
             for x in range(group.order):
-                assert abs(vals[group.inv(x)] - np.conj(vals[x])) < 1e-12
+                assert abs(vals[int(group.inverse[x])] - np.conj(vals[x])) < 1e-12
+            # against the loop <lambda(x) xi, xi> / ||xi||^2 on the same draw
+            xi = replay.standard_normal(group.order) + 1j * replay.standard_normal(group.order)
+            loop = [np.vdot(xi, xi[group.table[int(group.inverse[x])]]) for x in range(group.order)]
+            assert np.abs(vals - np.array(loop) / np.vdot(xi, xi)).max() < 1e-14
 
 
 def test_indicator_of_subgroup_positive_definite():
@@ -275,7 +282,7 @@ def test_gram_matrix_shape():
     k = gram_matrix(sigma)
     for x in range(6):
         for y in range(6):
-            assert k[x, y] == sigma.values[S3.mul(S3.inv(x), y)]
+            assert k[x, y] == sigma.values[S3.mul(int(S3.inverse[x]), y)]
 
 
 def test_level_set_of_coset_invariant_state_is_a_subgroup():
@@ -290,7 +297,7 @@ def test_level_set_of_coset_invariant_state_is_a_subgroup():
             for y in coset:
                 xi[y] = val
         vals = np.array(
-            [np.vdot(xi, xi[g.table[g.inv(x)]]) for x in range(g.order)]
+            [np.vdot(xi, xi[g.table[int(g.inverse[x])]]) for x in range(g.order)]
         ) / np.vdot(xi, xi)
         sigma = GroupFunction(g, vals)
         assert in_p1(sigma)

@@ -218,7 +218,7 @@ def test_harmonic_operators_dimensions():
     sigma = indicator_function(S3, A3)
     space = harmonic_operators(sigma)
     pair_count = sum(
-        1 for a in range(6) for b in range(6) if S3.mul(a, S3.inv(b)) in A3
+        1 for a in range(6) for b in range(6) if S3.mul(a, int(S3.inverse[b])) in A3
     )
     assert space.dim == pair_count == 18
 
@@ -346,14 +346,13 @@ def test_limit_product_point_mass_is_plain_product():
     rng = np.random.default_rng(2)
     f = GroupFunction(Z4, rng.standard_normal(4))
     g_fn = GroupFunction(Z4, rng.standard_normal(4))
-    limit = limit_product("function", f, g_fn, delta_measure(Z4, 0))
+    limit = limit_product(f, g_fn, delta_measure(Z4, 0))
     assert np.abs(limit.values - f.values * g_fn.values).max() < 1e-12
 
 
 def test_limit_product_constants():
     mu = Measure(Z4, [0, 0.5, 0, 0.5])
-    limit = limit_product("function", constant_function(Z4, 2.5),
-                          constant_function(Z4, -1.5), mu)
+    limit = limit_product(constant_function(Z4, 2.5), constant_function(Z4, -1.5), mu)
     assert np.abs(limit.values - (-3.75)).max() < 1e-12
 
 
@@ -362,7 +361,7 @@ def test_limit_product_uniform_mean():
     f = GroupFunction(S3, rng.standard_normal(6))
     g_fn = GroupFunction(S3, rng.standard_normal(6))
     with pytest.warns(UserWarning, match="not harmonic"):
-        limit = limit_product("function", f, g_fn, uniform_measure(S3))
+        limit = limit_product(f, g_fn, uniform_measure(S3))
     mean = np.mean(f.values * g_fn.values)
     assert np.abs(limit.values - mean).max() < 1e-12
 
@@ -372,7 +371,7 @@ def test_limit_product_operator_mode_stays_harmonic():
     mu = random_adapted_measure(S3, rng)
     s_mat = random_translation_combination(S3, rng)
     t_mat = random_translation_combination(S3, rng)
-    limit = limit_product("operator", s_mat, t_mat, mu)
+    limit = limit_product(s_mat, t_mat, mu)
     action = theta(mu)
     assert np.abs(action.apply(limit) - limit).max() <= 1e-12
 
@@ -387,7 +386,7 @@ def test_limit_product_periodic_walks_converge_to_the_mean():
         f = GroupFunction(group, rng.standard_normal(n))
         g_fn = GroupFunction(group, rng.standard_normal(n))
         with pytest.warns(UserWarning, match="not harmonic"):
-            limit = limit_product("function", f, g_fn, mu)
+            limit = limit_product(f, g_fn, mu)
         product = f.values * g_fn.values
         assert np.abs(limit.values - product.mean()).max() < 1e-12
         early, late = _cesaro_gaps(functools.partial(np.matmul, convolution_matrix(mu)),
@@ -420,9 +419,9 @@ def test_limit_product_agrees_with_independent_routes(name):
         trivial = mu.support() == (group.identity,)
         with contextlib.nullcontext() if trivial else pytest.warns(UserWarning,
                                                                    match="not harmonic"):
-            limit = limit_product("function", f, g_fn, mu)
-            op_limit = limit_product("operator", s_mat, t_mat, mu)
-            diag_limit = limit_product("operator", mult_op(f), mult_op(g_fn), mu)
+            limit = limit_product(f, g_fn, mu)
+            op_limit = limit_product(s_mat, t_mat, mu)
+            diag_limit = limit_product(mult_op(f), mult_op(g_fn), mu)
         # function mode: the orthogonal projector onto the null space of C - I
         projected = projector(harmonic_functions(mu)) @ (f.values * g_fn.values)
         assert np.abs(limit.values - projected).max() <= 1e-12
@@ -438,14 +437,21 @@ def test_limit_product_agrees_with_independent_routes(name):
 def test_limit_product_rejects_inputs_from_another_group():
     mu = uniform_measure(Z4)
     with pytest.raises(ValueError, match="different groups"):
-        limit_product("function", constant_function(S3), constant_function(S3), mu)
+        limit_product(constant_function(S3), constant_function(S3), mu)
     with pytest.raises(ValueError, match="group order 4"):
-        limit_product("operator", np.eye(6), np.eye(6), mu)
+        limit_product(np.eye(6), np.eye(6), mu)
+
+
+def test_limit_product_rejects_a_function_with_a_matrix():
+    mu = uniform_measure(Z4)
+    for a, b in ((constant_function(Z4), np.eye(4)), (np.eye(4), constant_function(Z4))):
+        with pytest.raises(ValueError, match="not one of each"):
+            limit_product(a, b, mu)
 
 
 def test_limit_product_requires_probability():
     with pytest.raises(ValueError):
-        limit_product("function", constant_function(Z4), constant_function(Z4),
+        limit_product(constant_function(Z4), constant_function(Z4),
                       Measure(Z4, [0.5, 0.5, 0.5, 0.5]))
 
 

@@ -89,3 +89,37 @@ def test_every_public_library_name_is_referenced():
     unreferenced = {name for name in _public_definitions()
                     if name.rsplit(".", 1)[-1] not in refs}
     assert unreferenced == set(UNREFERENCED_ALLOWED)
+
+
+def _dataclass_fields() -> set[str]:
+    """Fields of the dataclasses of src/harmop, as 'Class.field'."""
+    fields = set()
+    for path in (ROOT / "src" / "harmop").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                    (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+                    for d in node.decorator_list):
+                fields.update(f"{node.name}.{m.target.id}" for m in node.body
+                              if isinstance(m, ast.AnnAssign))
+    return fields
+
+
+def _read_names(paths) -> set[str]:
+    """Attributes read anywhere, and the dotted parts of string constants;
+    an attribute that is only assigned or a plain name does not count."""
+    refs = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                refs.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                refs.update(node.value.split("."))
+    return refs
+
+
+def test_every_dataclass_field_is_read():
+    fields = _dataclass_fields()
+    assert "HarmonicReport.p1_mode" in fields and "CheckRecord.passed" in fields
+    paths = [p for top in ("src", "tests", "perfbench") for p in sorted((ROOT / top).rglob("*.py"))]
+    refs = _read_names(paths)
+    assert {f for f in fields if f.split(".")[1] not in refs} == set()

@@ -112,7 +112,7 @@ def test_support_of_sum_and_adjoint():
         union = set(operator_support(S3, s_mat)) | set(operator_support(S3, t_mat))
         assert set(operator_support(S3, s_mat + t_mat)) <= union
         adj = set(operator_support(S3, s_mat.conj().T))
-        assert adj == {S3.inv(x) for x in operator_support(S3, s_mat)}
+        assert adj == {int(S3.inverse[x]) for x in operator_support(S3, s_mat)}
 
 
 def test_constant_on_subgroup_action():
@@ -173,7 +173,7 @@ def test_ideal_check_matches_point_mass_loop(monkeypatch, span):
 @pytest.mark.parametrize("call", [
     operator_support,
     annihilator_ideal,
-    lambda g, t: limit_product("operator", t, t, uniform_measure(g)),
+    lambda g, t: limit_product(t, t, uniform_measure(g)),
 ], ids=["operator_support", "annihilator_ideal", "limit_product"])
 def test_operator_of_the_wrong_shape_is_a_value_error(call):
     with pytest.raises(ValueError, match="group order 4"):

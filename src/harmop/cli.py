@@ -55,6 +55,7 @@ from .harmonic import (
 )
 from .generators import (
     random_adapted_measure,
+    random_nonadapted_measure,
     random_positive_definite,
     random_probability_measure,
     random_sparse_operator,
@@ -64,7 +65,7 @@ from .generators import (
 
 COMMANDS = ("verify", "support", "fixed-points", "ideals", "limit-product")
 SIGMA_GENERATORS = ("gen:pd", "gen:nonpd", "gen:delta")
-MU_GENERATORS = ("gen:adapted", "gen:uniform", "gen:random")
+MU_GENERATORS = ("gen:adapted", "gen:nonadapted", "gen:uniform", "gen:random")
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,8 @@ def _resolve_mus(spec: str, group: GroupTable, count: int,
                  rng: np.random.Generator) -> list[tuple[str, Measure]]:
     if spec == "gen:adapted":
         return [(f"adapted{i}", random_adapted_measure(group, rng)) for i in range(count)]
+    if spec == "gen:nonadapted":
+        return [(f"nonadapted{i}", random_nonadapted_measure(group, rng)) for i in range(count)]
     if spec == "gen:uniform":
         return [("uniform", uniform_measure(group))]
     if spec == "gen:random":

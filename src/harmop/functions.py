@@ -178,7 +178,6 @@ class AdaptednessReport:
     measure_side: bool
     transform_side: bool
     unit_characters: tuple[int, ...]
-    eq_tol: float
 
     @property
     def agree(self) -> bool:
@@ -193,7 +192,7 @@ def check_adaptedness_equivalence(mu: Measure,
     hat = fs_transform(mu)
     unit = tuple(int(i) for i in np.flatnonzero(np.abs(hat - 1.0) <= tol.eq_tol))
     transform_side = unit == (0,)
-    return AdaptednessReport(measure_side, transform_side, unit, tol.eq_tol)
+    return AdaptednessReport(measure_side, transform_side, unit)
 
 
 # ---------------------------------------------------------------------------

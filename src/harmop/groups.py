@@ -324,39 +324,68 @@ def _orbits(images: np.ndarray) -> list[tuple[int, ...]]:
 
 
 def generated_subgroup(group: GroupTable, gens) -> Subgroup:
-    """Smallest subgroup containing ``gens``.
-
-    In a finite group a set containing the identity and closed under products
-    is already a subgroup (inverses are positive powers), so squaring the set
-    until its size stops growing suffices, and the result skips the closure
-    check of Subgroup.  The start set must be free of duplicates, or a repeat
-    would stop the loop early.
-    """
+    """Smallest subgroup containing ``gens``."""
     members = np.unique([group.identity, *(int(x) for x in gens)])
     out = members[(members < 0) | (members >= group.order)]
     if out.size:
         raise ValueError(f"generator index {out[0]} out of range")
+    return _closure(group, members)
+
+
+def _closure(group: GroupTable, members: np.ndarray) -> Subgroup:
+    """The subgroup generated by valid indices ``members``, the identity among them.
+
+    In a finite group a set containing the identity and closed under products
+    is already a subgroup (inverses are positive powers), so squaring the set
+    until its size stops growing suffices, and the result skips the closure
+    check of Subgroup.  The products are marked in a boolean array, which
+    also drops repeats from the start set.
+    """
+    inside = np.zeros(group.order, dtype=bool)
+    inside[members] = True
+    members = np.flatnonzero(inside)
     while True:
-        grown = np.unique(group.table[members][:, members])
+        inside[group.table[members[:, None], members]] = True
+        grown = np.flatnonzero(inside)
         if len(grown) == len(members):
-            return Subgroup._closed(group, tuple(members.tolist()))
+            return Subgroup._closed(group, tuple(grown.tolist()))
         members = grown
 
 
 def all_subgroups(group: GroupTable) -> list[Subgroup]:
-    """Every subgroup, found by closing known subgroups under one extra
-    generator until nothing new appears.  Since <H, x> = <H, hx> for h in H,
-    one representative of each right coset Hx beyond H itself suffices."""
-    found = {(group.identity,): Subgroup(group, (group.identity,))}
+    """Every subgroup, found by joining known subgroups with one extra
+    element until nothing new appears, sorted by order, then by members.
+
+    For h, h' in H and k prime to the order of x, x^k generates <x>, so
+    <H, h x^k h'> = <H, x>: one join per class H x^k H suffices.  After each
+    join the whole class is marked done, with one gather.
+    """
+    n, e, table = group.order, group.identity, group.table
+    # powers[k, x] = x^k for k up to the exponent, the first k with every x^k = e
+    powers = [np.full(n, e), np.arange(n)]
+    while np.any(powers[-1] != e):
+        powers.append(table[powers[-1], powers[1]])
+    powers = np.array(powers)
+    order = np.argmax(powers[1:] == e, axis=0) + 1
+    found = {(e,): Subgroup._closed(group, (e,))}
     frontier = list(found.values())
     while frontier:
         fresh = []
         for sub in frontier:
-            for coset in sub.right_cosets()[1:]:
-                bigger = generated_subgroup(group, sub.members + coset[:1])
+            h = np.array(sub.members)
+            done = np.zeros(n, dtype=bool)
+            done[h] = True
+            for x in np.flatnonzero(~done):
+                if done[x]:
+                    continue
+                bigger = _closure(group, np.append(h, x))
                 if bigger.members not in found:
                     found[bigger.members] = bigger
                     fresh.append(bigger)
+                ks = np.arange(1, order[x])
+                units = powers[ks[np.gcd(ks, order[x]) == 1], x]
+                hx = table[h[:, None], units]  # h x^k
+                done[table[hx[:, :, None], h]] = True  # h x^k h'
         frontier = fresh
     return sorted(found.values(), key=lambda s: (len(s), s.members))
 

@@ -20,9 +20,7 @@ from .actions import _operator, displacement_table
 
 @dataclass(frozen=True)
 class SupportSet:
-    group: GroupTable
     members: tuple[int, ...]
-    entry_tol: float
 
     def __contains__(self, x: int) -> bool:
         return x in self.members
@@ -40,7 +38,7 @@ def operator_support(group: GroupTable, t_mat: np.ndarray,
     t_mat = _operator(group, t_mat)
     disp = displacement_table(group)
     members = np.unique(disp[np.abs(t_mat) > tol.entry_tol])
-    return SupportSet(group, tuple(int(x) for x in members), tol.entry_tol)
+    return SupportSet(tuple(int(x) for x in members))
 
 
 def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
@@ -68,4 +66,4 @@ def annihilator_ideal(group: GroupTable, t_mat: np.ndarray,
     # orthonormal basis has a (numerically) zero row there
     row_norms = np.linalg.norm(ideal.basis, axis=1)
     hull = tuple(int(x) for x in np.flatnonzero(row_norms <= tol.rank_tol))
-    return ideal, SupportSet(group, hull, tol.entry_tol)
+    return ideal, SupportSet(hull)

@@ -270,7 +270,7 @@ def test_non_finite_input_file_exits_two(command, option, bad, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("command, option, spec", [("verify", "--sigma", "gen:pdd"),
-                                                   ("fixed-points", "--mu", "gen:nonadapted")])
+                                                   ("fixed-points", "--mu", "gen:nonadaptive")])
 def test_unknown_generator_exits_two_naming_the_generators(command, option, spec, capsys):
     names = SIGMA_GENERATORS if option == "--sigma" else MU_GENERATORS
     assert main([command, "--group", "Z6", option, spec, "--count", "1"]) == 2
@@ -294,6 +294,20 @@ def test_documented_generators_run(argv, expected, capsys):
     assert main([*argv, "--count", "2"]) == 0
     names = {c["name"].split("/")[1] for c in json.loads(capsys.readouterr().out)["checks"]}
     assert expected <= names
+
+
+@pytest.mark.parametrize("argv", [["fixed-points", "--group", "D4"], ["ideals", "--group", "S3"],
+                                  ["limit-product", "--group", "S3"]], ids=lambda a: a[0])
+def test_nonadapted_measures_run_with_a_proper_generated_subgroup(argv, capsys):
+    assert main([*argv, "--mu", "gen:nonadapted", "--count", "3"]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    names = {c["name"].split("/")[1] for c in checks}
+    assert {"nonadapted0", "nonadapted1", "nonadapted2"} <= names
+    # a zero harmonic_dim metric says dim = index of <supp mu>, and the
+    # degenerate crossed product is checked only at index 1: so index > 1
+    dims = [c["metric"] for c in checks if c["name"].endswith("/harmonic_dim")]
+    assert dims == ([0.0] * 3 if argv[0] == "fixed-points" else [])
+    assert not any(c["name"].endswith("/crossed_product_degenerate") for c in checks)
 
 
 def test_verdict_is_metric_within_tolerance():

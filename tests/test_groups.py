@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harmop.groups
 from harmop.groups import (
     GroupTableError,
     SchemaError,
@@ -317,6 +318,34 @@ def test_parse_rejects_table_whose_columns_alone_fail():
         parse_group({"name": "x", "order": 2, "elements": ["e", "a"], "table": table})
 
 
+def breadth_first_closure(g, gens) -> tuple[int, ...]:
+    """<gens> by breadth-first search: start at the identity and right-multiply
+    every reached element by every generator over the Cayley table."""
+    reached, queue = {g.identity}, [g.identity]
+    for a in queue:
+        for x in gens:
+            b = int(g.table[a, x])
+            if b not in reached:
+                reached.add(b)
+                queue.append(b)
+    return tuple(sorted(reached))
+
+
+@pytest.mark.parametrize("g", SAMPLE_GROUPS + [builtin_group(name) for name in ("S5", "D60", "Z120")],
+                         ids=lambda g: g.name)
+def test_generated_subgroup_against_breadth_first_closure(g):
+    rng = np.random.default_rng(7)
+    for size in [0, 1, 1, 2, 2, 3, 3, 4]:
+        gens = [int(x) for x in rng.choice(g.order, size=size)]  # repeats allowed
+        assert generated_subgroup(g, gens).members == breadth_first_closure(g, gens)
+
+
+@pytest.mark.parametrize("gens", [[6], [-1], [2, 6], [-1, 3]])
+def test_generated_subgroup_rejects_indices_out_of_range(gens):
+    with pytest.raises(ValueError, match="out of range"):
+        generated_subgroup(cyclic_group(6), gens)
+
+
 def test_generated_subgroup_empty():
     g = cyclic_group(6)
     assert generated_subgroup(g, []).members == (0,)
@@ -401,6 +430,47 @@ def test_all_subgroups_counts_of_the_benchmark(name, count):
         assert Subgroup(sub.parent, sub.members) == sub
 
 
+def coset_enumeration(g) -> list[Subgroup]:
+    """Every subgroup by one join per right coset Hx beyond H, each join closed
+    breadth-first: the oracle of all_subgroups, which joins once per class
+    H x^k H."""
+    e = g.identity
+    found = {(e,): Subgroup(g, (e,))}
+    frontier = list(found.values())
+    while frontier:
+        fresh = []
+        for sub in frontier:
+            for coset in sub.right_cosets()[1:]:
+                members = breadth_first_closure(g, sub.members + coset[:1])
+                if members not in found:
+                    found[members] = Subgroup(g, members)
+                    fresh.append(found[members])
+        frontier = fresh
+    return sorted(found.values(), key=lambda s: (len(s), s.members))
+
+
+# with SAMPLE_GROUPS, every group of order <= 24 that the tests build
+ORACLE_NAMES = ["Z2", "Z3", "Z4", "Z5", "Z8", "Z12", "Z2xZ2", "Z3xZ3", "Z2xZ6", "Z2xZ12",
+                "Z2xZ2xZ6", "S4", "D6", "D11", "D12", "Q8xZ3"]
+
+
+@pytest.mark.parametrize("g", SAMPLE_GROUPS + [builtin_group(name) for name in ORACLE_NAMES],
+                         ids=lambda g: g.name)
+def test_all_subgroups_matches_the_coset_enumeration(g):
+    assert [s.members for s in all_subgroups(g)] == [s.members for s in coset_enumeration(g)]
+
+
+@pytest.mark.parametrize("name, most", [("S5", 1300), ("D60", 1400), ("Z120", 80)])
+def test_all_subgroups_joins_once_per_double_coset_class(name, most, monkeypatch):
+    # one join per right coset Hx would take 4169 / 5616 / 344 closures
+    joins = []
+    closure = harmop.groups._closure
+    monkeypatch.setattr(harmop.groups, "_closure",
+                        lambda g, members: joins.append(len(members)) or closure(g, members))
+    all_subgroups(builtin_group(name))
+    assert 0 < len(joins) <= most
+
+
 def test_all_subgroups_s3():
     subs = all_subgroups(symmetric_group(3))
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 3, 6]
@@ -412,8 +482,10 @@ def test_all_subgroups_q8():
 
 
 def test_all_subgroups_at_order_60_and_120():
-    # D_m has tau(m) + sigma(m) subgroups; S5 has 156
+    # D_m has tau(m) + sigma(m) subgroups, Z_m has tau(m); S5 has 156
     assert len(all_subgroups(dihedral_group(30))) == 8 + 72
+    assert len(all_subgroups(dihedral_group(60))) == 12 + 168
+    assert len(all_subgroups(cyclic_group(120))) == 16
     subs = all_subgroups(symmetric_group(5))
     assert len(subs) == 156
     assert sorted({len(s) for s in subs}) == [1, 2, 3, 4, 5, 6, 8, 10, 12, 20, 24, 60, 120]
@@ -441,8 +513,9 @@ def test_results_map_over_a_random_relabeling(name, seed):
     def mapped(members):
         return tuple(sorted(int(x) for x in to_h[list(members)]))
 
-    subgroups = sorted(s.members for s in all_subgroups(h))
-    assert sorted(mapped(s) for s in all_subgroups(g)) == subgroups
+    subgroups = [s.members for s in all_subgroups(h)]
+    assert subgroups == [s.members for s in coset_enumeration(h)]
+    assert sorted(mapped(s) for s in all_subgroups(g)) == sorted(subgroups)
     gens = rng.choice(n, size=int(rng.integers(0, 3)), replace=False)
     assert mapped(generated_subgroup(g, gens)) == generated_subgroup(h, to_h[gens]).members
     assert h.exponent() == g.exponent()

@@ -51,7 +51,6 @@ UNREFERENCED_ALLOWED = {
     "convolve_measures": "its homomorphism test pins the convolution convention",
     "delta_measure": "constructor of test inputs",
     "indicator_function": "constructor of test inputs",
-    "random_nonadapted_measure": "generator for a gen:nonadapted measure spec",
     "theta_hat_sum_form": "the sum form of theta_hat, to become a CLI check",
 }
 

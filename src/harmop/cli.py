@@ -55,7 +55,7 @@ from .harmonic import (
 )
 from .generators import (
     random_adapted_measure,
-    random_nonadapted_measure,
+    random_nonadapted_measures,
     random_positive_definite,
     random_probability_measure,
     random_sparse_operator,
@@ -155,7 +155,8 @@ def _resolve_mus(spec: str, group: GroupTable, count: int,
     if spec == "gen:adapted":
         return [(f"adapted{i}", random_adapted_measure(group, rng)) for i in range(count)]
     if spec == "gen:nonadapted":
-        return [(f"nonadapted{i}", random_nonadapted_measure(group, rng)) for i in range(count)]
+        return [(f"nonadapted{i}", mu)
+                for i, mu in enumerate(random_nonadapted_measures(group, rng, count))]
     if spec == "gen:uniform":
         return [("uniform", uniform_measure(group))]
     if spec == "gen:random":

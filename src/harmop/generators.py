@@ -48,15 +48,19 @@ def random_adapted_measure(group: GroupTable, rng: np.random.Generator) -> Measu
     return _weights_on(group, sorted(support), rng)
 
 
-def random_nonadapted_measure(group: GroupTable, rng: np.random.Generator) -> Measure:
-    """A probability measure supported inside a proper subgroup."""
+def random_nonadapted_measures(group: GroupTable, rng: np.random.Generator, count: int) -> list[Measure]:
+    """``count`` probability measures, each inside a proper subgroup drawn
+    from one enumeration of the subgroups."""
     proper = [s for s in all_subgroups(group) if len(s) < group.order]
     if not proper:
         raise ValueError(f"{group.name} has no proper subgroup; every measure is adapted")
-    sub = proper[int(rng.integers(0, len(proper)))]
-    size = int(rng.integers(1, len(sub) + 1))
-    support = rng.choice(sub.members, size=size, replace=False)
-    return _weights_on(group, [int(x) for x in support], rng)
+    measures = []
+    for _ in range(count):
+        sub = proper[int(rng.integers(0, len(proper)))]
+        size = int(rng.integers(1, len(sub) + 1))
+        support = rng.choice(sub.members, size=size, replace=False)
+        measures.append(_weights_on(group, [int(x) for x in support], rng))
+    return measures
 
 
 def random_probability_measure(group: GroupTable, rng: np.random.Generator) -> Measure:

@@ -31,12 +31,9 @@ class GroupTable:
     """
 
     def __init__(self, name: str, elements: list[str], table):
-        table = np.asarray(table, dtype=np.intp)
         n = len(elements)
-        if n == 0:
-            raise GroupTableError("a group has at least one element")
-        if n > ORDER_CAP:
-            raise GroupTableError(f"order {n} exceeds the cap {ORDER_CAP}")
+        _check_order(n)
+        table = np.asarray(table, dtype=np.intp)
         if table.shape != (n, n):
             raise GroupTableError(f"table shape {table.shape} != ({n}, {n})")
         _validate_table(table)
@@ -93,6 +90,14 @@ class GroupTable:
         }
 
 
+def _check_order(n: int) -> None:
+    """Reject an order outside 1..ORDER_CAP before any n x n array is built."""
+    if n < 1:
+        raise GroupTableError("a group has at least one element")
+    if n > ORDER_CAP:
+        raise GroupTableError(f"order {n} exceeds the cap {ORDER_CAP}")
+
+
 def _validate_table(table: np.ndarray) -> None:
     n = table.shape[0]
     if table.min() < 0 or table.max() >= n:
@@ -135,13 +140,7 @@ def _generators(table: np.ndarray) -> np.ndarray:
         g = int(reached.argmin())
         gens.append(g)
         reached[g] = True
-        m = reached.nonzero()[0]
-        while len(m) < n:
-            reached[table[m[:, None], m]] = True
-            grown = reached.nonzero()[0]
-            if len(grown) == len(m):
-                break
-            m = grown
+        reached[list(_closure(table, np.flatnonzero(reached)))] = True
     return np.array(gens, dtype=np.intp)
 
 
@@ -156,8 +155,7 @@ def _relabeling(n: int, identity: int) -> np.ndarray:
 
 def cyclic_group(n: int) -> GroupTable:
     """Z_n with element k at index k."""
-    if n < 1:
-        raise ValueError("cyclic order must be positive")
+    _check_order(n)
     table = (np.arange(n)[:, None] + np.arange(n)[None, :]) % n
     return GroupTable(f"Z{n}", [str(k) for k in range(n)], table)
 
@@ -165,8 +163,7 @@ def cyclic_group(n: int) -> GroupTable:
 def dihedral_group(n: int) -> GroupTable:
     """Symmetries of the n-gon, order 2n: index r is the rotation by r,
     index n+r the reflection s*r^r.  Encoded as maps x -> eps*x + t on Z_n."""
-    if n < 1:
-        raise ValueError("dihedral parameter must be positive")
+    _check_order(2 * n)
     eps = np.repeat([1, -1], n)
     r = np.tile(np.arange(n), 2)
     # (e1, r1)(e2, r2) = (e1 e2, e1 r2 + r1), with index r or n + r
@@ -207,6 +204,7 @@ def quaternion_group() -> GroupTable:
 def direct_product(g1: GroupTable, g2: GroupTable) -> GroupTable:
     """G1 x G2 with pair (a, b) at index a*|G2| + b."""
     n1, n2 = g1.order, g2.order
+    _check_order(n1 * n2)
     a1, b1 = np.divmod(np.arange(n1 * n2)[:, None], n2)
     a2, b2 = np.divmod(np.arange(n1 * n2)[None, :], n2)
     table = g1.table[a1, a2] * n2 + g2.table[b1, b2]
@@ -249,15 +247,16 @@ def parse_group(document: str | dict) -> GroupTable:
     for key, typ in [("name", str), ("order", int), ("elements", list), ("table", list)]:
         if key not in document:
             raise SchemaError(f"missing field {key!r}")
-        if not isinstance(document[key], typ):
+        if not isinstance(document[key], typ) or isinstance(document[key], bool):
             raise SchemaError(f"field {key!r} must be {typ.__name__}")
     n = document["order"]
+    _check_order(n)
     if len(document["elements"]) != n:
         raise SchemaError(f"expected {n} element labels, got {len(document['elements'])}")
     table = document["table"]
     if len(table) != n or any(not isinstance(row, list) or len(row) != n for row in table):
         raise SchemaError(f"table must be {n}x{n}")
-    if any(not isinstance(v, int) for row in table for v in row):
+    if any(not isinstance(v, int) or isinstance(v, bool) for row in table for v in row):
         raise SchemaError("table entries must be integers")
     return GroupTable(document["name"], [str(e) for e in document["elements"]], table)
 
@@ -329,26 +328,27 @@ def generated_subgroup(group: GroupTable, gens) -> Subgroup:
     out = members[(members < 0) | (members >= group.order)]
     if out.size:
         raise ValueError(f"generator index {out[0]} out of range")
-    return _closure(group, members)
+    return Subgroup._closed(group, _closure(group.table, members))
 
 
-def _closure(group: GroupTable, members: np.ndarray) -> Subgroup:
-    """The subgroup generated by valid indices ``members``, the identity among them.
+def _closure(table: np.ndarray, members: np.ndarray) -> tuple[int, ...]:
+    """The closure of valid indices ``members`` under the products of a Latin
+    ``table``, sorted: the set is squared until its size stops growing.
 
     In a finite group a set containing the identity and closed under products
-    is already a subgroup (inverses are positive powers), so squaring the set
-    until its size stops growing suffices, and the result skips the closure
-    check of Subgroup.  The products are marked in a boolean array, which
-    also drops repeats from the start set.
+    is already a subgroup (inverses are positive powers), so with the
+    identity among ``members`` the result is the subgroup they generate and
+    skips the closure check of Subgroup.  The products are marked in a
+    boolean array, which also drops repeats from the start set.
     """
-    inside = np.zeros(group.order, dtype=bool)
+    inside = np.zeros(len(table), dtype=bool)
     inside[members] = True
     members = np.flatnonzero(inside)
     while True:
-        inside[group.table[members[:, None], members]] = True
+        inside[table[members[:, None], members]] = True
         grown = np.flatnonzero(inside)
         if len(grown) == len(members):
-            return Subgroup._closed(group, tuple(grown.tolist()))
+            return tuple(grown.tolist())
         members = grown
 
 
@@ -378,10 +378,10 @@ def all_subgroups(group: GroupTable) -> list[Subgroup]:
             for x in np.flatnonzero(~done):
                 if done[x]:
                     continue
-                bigger = _closure(group, np.append(h, x))
-                if bigger.members not in found:
-                    found[bigger.members] = bigger
-                    fresh.append(bigger)
+                members = _closure(table, np.append(h, x))
+                if members not in found:
+                    found[members] = Subgroup._closed(group, members)
+                    fresh.append(found[members])
                 ks = np.arange(1, order[x])
                 units = powers[ks[np.gcd(ks, order[x]) == 1], x]
                 hx = table[h[:, None], units]  # h x^k

@@ -67,9 +67,7 @@ def harmonic_functionals(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) ->
     g = sigma.group
     n = g.order
     level = np.array(sorted(level_set_one(sigma, tol)), dtype=np.intp)
-    basis = np.zeros((n * n, len(level)), dtype=complex)
-    basis[g.table[level] * n + np.arange(n), np.arange(len(level))[:, None]] = 1 / math.sqrt(n)
-    return Subspace(n * n, basis)
+    return _indicator_span(n * n, g.table[level] * n + np.arange(n))
 
 
 def harmonic_operators(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -77,19 +75,24 @@ def harmonic_operators(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> S
     return fixed_points(theta_hat(sigma), tol)
 
 
-def _diagonal_units(n: int) -> list[np.ndarray]:
-    """The matrix units E_aa; they span the multiplication operators."""
-    units = np.zeros((n, n, n))
-    units[np.arange(n), np.arange(n), np.arange(n)] = 1.0
-    return list(units)
+def _indicator_span(ambient_dim: int, index_sets: np.ndarray) -> Subspace:
+    """One normalized indicator per row of ``index_sets``, whose rows are
+    pairwise disjoint sets of coordinates, so the basis is orthonormal."""
+    count, size = index_sets.shape
+    basis = np.zeros((ambient_dim, count), dtype=complex)
+    basis[index_sets.T, np.arange(count)] = 1 / math.sqrt(size)
+    return Subspace(ambient_dim, basis)
 
 
 def _coordinate_span(mask: np.ndarray) -> Subspace:
     """span{E_ab : mask[a, b]}, with basis columns in row-major order."""
-    cols = np.flatnonzero(mask)
-    basis = np.zeros((mask.size, len(cols)), dtype=complex)
-    basis[cols, np.arange(len(cols))] = 1.0
-    return Subspace(mask.size, basis)
+    return _indicator_span(mask.size, np.flatnonzero(mask)[:, None])
+
+
+def _subgroup_generators(group: GroupTable, members) -> list[np.ndarray]:
+    """lambda(h) for each member and one multiplication operator of norm 1
+    with distinct values, whose spectral projections E_aa span L^inf(G)."""
+    return [left_regular(group, h) for h in members] + [np.diag(np.linspace(-1.0, 1.0, group.order))]
 
 
 def _stripe_span(group: GroupTable, level) -> Subspace:
@@ -100,14 +103,10 @@ def _stripe_span(group: GroupTable, level) -> Subspace:
 def _bimodule_span(group: GroupTable, level, tol: Tolerances) -> Subspace:
     """span{M_f lambda(x) : x in level, f arbitrary}, built from products."""
     n = group.order
-    units = _diagonal_units(n)
-    rows = []
-    for x in sorted(level):
-        lam = left_regular(group, x)
-        rows.extend((diag @ lam).reshape(-1) for diag in units)
-    if not rows:
-        return Subspace.zero(n * n)
-    return Subspace.from_span(np.stack(rows), tol)
+    # row (x, a) is E_aa lambda(x): row a of lambda(x), all other rows zero
+    lams = np.array([left_regular(group, x) for x in sorted(level)]).reshape(-1, n, n)
+    rows = np.eye(n)[:, :, None] * lams[:, None]
+    return Subspace.from_span(rows.reshape(-1, n * n), tol)
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> 
 
     (A) fixed points of the multiplier action, as a dense null space;
     (B) the von Neumann algebra generated by the fixed left translations and
-        the diagonal, via the double-commutant engine;
+        one diagonal with distinct values, via the double-commutant engine;
     (C) the span of the matrix units supported on the level set of sigma.
 
     For sigma in P1(G) the three agree with dimension |G| * |level set|.  For
@@ -158,8 +157,7 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> 
     fixed = harmonic_operators(sigma, tol)
     stripe = _stripe_span(g, level)
     if p1:
-        gens = [left_regular(g, x) for x in level] + _diagonal_units(n)
-        algebra = double_commutant(gens, n, tol)
+        algebra = double_commutant(_subgroup_generators(g, level), n, tol)
         dims = {
             "fixed_points": fixed.dim,
             "generated_algebra": algebra.dim,
@@ -382,9 +380,8 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     # of the ideal also decides whether sigma(e) = 1
     sigma_e = bool(fixed[g.identity, g.identity])
     ideal_in_perp = math.sqrt(np.count_nonzero(ideal & diagonal)) if sigma_e else None
-    units = np.array(_diagonal_units(n))  # E_ff . I against Tr(E_ff) I
-    traces = np.trace(units, axis1=1, axis2=2)[:, None, None]
-    quotient = float(np.abs(bullet(g, units, np.eye(n)) - traces * np.eye(n)).max())
+    units = np.eye(n)[:, :, None] * np.eye(n)[:, None, :]  # E_ff . I against Tr(E_ff) I = I
+    quotient = float(np.abs(bullet(g, units, np.eye(n)) - np.eye(n)).max())
     return IdealSuiteReport(
         sigma_at_identity_is_one=sigma_e,
         dim_ideal=int(np.count_nonzero(ideal)),
@@ -423,16 +420,13 @@ class InvariantAlgebraReport:
 
 def invariant_algebra(subgroup: Subgroup, tol: Tolerances = DEFAULT_TOL) -> InvariantAlgebraReport:
     """Functions invariant under left translation by a subgroup, as diagonal
-    operators, against the commutant of {lambda(h)} united with the diagonal.
-    The two must coincide, with dimension the number of orbits."""
+    operators, against the commutant of {lambda(h)} and one diagonal with
+    distinct values.  The two must coincide, with dimension the number of orbits."""
     g = subgroup.parent
     n = g.order
     cosets = np.array(subgroup.right_cosets())  # one coset per row, all of size |H|
-    basis = np.zeros((n * n, len(cosets)), dtype=complex)
-    basis[cosets * (n + 1), np.arange(len(cosets))[:, None]] = 1.0 / np.sqrt(cosets.shape[1])
-    invariant = Subspace(n * n, basis)
-    gens = [left_regular(g, h) for h in subgroup] + _diagonal_units(n)
-    comm = commutant(gens, n, tol)
+    invariant = _indicator_span(n * n, cosets * (n + 1))
+    comm = commutant(_subgroup_generators(g, subgroup), n, tol)
     return InvariantAlgebraReport(
         orbit_count=len(cosets),
         dim_invariant=invariant.dim,

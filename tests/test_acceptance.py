@@ -55,7 +55,7 @@ from harmop.harmonic import (
 )
 from harmop.generators import (
     random_adapted_measure,
-    random_nonadapted_measure,
+    random_nonadapted_measures,
     random_operator,
     random_positive_definite,
     random_probability_measure,
@@ -168,7 +168,7 @@ def test_criterion_04_choquet_deny_and_coset_reduction():
         if not has_proper:
             continue
         for _ in range(50):
-            mu = random_nonadapted_measure(group, rng)
+            mu = random_nonadapted_measures(group, rng, 1)[0]
             space = harmonic_functions(mu)
             sub = generated_subgroup(group, mu.support())
             index = n // len(sub)
@@ -294,7 +294,8 @@ def test_criterion_09_limit_products():
     rng = np.random.default_rng(109)
     for group in MAIN_GROUPS:
         n = group.order
-        for make_measure in (random_adapted_measure, random_nonadapted_measure):
+        for make_measure in (random_adapted_measure,
+                             lambda g, r: random_nonadapted_measures(g, r, 1)[0]):
             for _ in range(10):
                 mu = make_measure(group, rng)
                 c, d = rng.standard_normal(2)

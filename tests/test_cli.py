@@ -19,7 +19,8 @@ from harmop.cli import (
     parse_report,
     run,
 )
-from harmop.groups import cyclic_group, symmetric_group
+from harmop import generators
+from harmop.groups import all_subgroups, cyclic_group, symmetric_group
 from harmop.functions import function_to_json, indicator_function, measure_to_json
 from harmop.functions import GroupFunction, Measure
 from harmop.generators import random_positive_definite
@@ -64,6 +65,22 @@ def test_broken_group_file_is_input_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text('{"name": "x", "order": 2}')
     assert main(["verify", "--group", str(path)]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    '{"name": "x", "order": 2, "elements": ["e", "a"], "table": [[false, true], [true, false]]}',
+    '{"name": "x", "order": true, "elements": ["e"], "table": [[0]]}',
+], ids=["table", "order"])
+def test_boolean_group_file_is_input_error(text, tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text(text)
+    assert main(["verify", "--group", str(path), "--count", "1"]) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def test_oversized_builtin_group_is_input_error(capsys):
+    assert main(["verify", "--group", "Z2000", "--count", "1"]) == 2
+    assert "order 2000 exceeds the cap 120" in capsys.readouterr().err
 
 
 def test_group_file_input(tmp_path, capsys):
@@ -308,6 +325,18 @@ def test_nonadapted_measures_run_with_a_proper_generated_subgroup(argv, capsys):
     dims = [c["metric"] for c in checks if c["name"].endswith("/harmonic_dim")]
     assert dims == ([0.0] * 3 if argv[0] == "fixed-points" else [])
     assert not any(c["name"].endswith("/crossed_product_degenerate") for c in checks)
+
+
+def test_nonadapted_measures_come_from_one_subgroup_enumeration(monkeypatch, capsys):
+    calls = []
+
+    def counted(group):
+        calls.append(group.name)
+        return all_subgroups(group)
+
+    monkeypatch.setattr(generators, "all_subgroups", counted)
+    assert main(["fixed-points", "--group", "S4", "--mu", "gen:nonadapted", "--count", "5"]) == 0
+    assert calls == ["S4"]
 
 
 def test_verdict_is_metric_within_tolerance():

@@ -151,6 +151,24 @@ def test_order_caps():
         cyclic_group(121)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: builtin_group("Z2000"),
+    lambda: builtin_group("D1000"),
+    lambda: builtin_group("Z50xZ50"),
+    lambda: parse_group({"name": "big", "order": 10**9, "elements": [], "table": []}),
+], ids=["Z2000", "D1000", "Z50xZ50", "parsed"])
+def test_order_cap_is_checked_before_any_table_is_built(build):
+    # an order-2000 table alone is 32 MB of indices
+    tracemalloc.start()
+    try:
+        with pytest.raises(GroupTableError, match=r"exceeds the cap 120"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
 def test_builtin_names():
     assert builtin_group("Z6").order == 6
     assert builtin_group("D4").order == 8
@@ -194,6 +212,15 @@ def test_parse_schema_errors():
                  "table": [[0, 1], [1, 5]]}
     with pytest.raises(SchemaError, match="out of range"):
         parse_group(bad_range)
+
+
+@pytest.mark.parametrize("doc", [
+    {"name": "x", "order": 2, "elements": ["e", "a"], "table": [[False, True], [True, False]]},
+    {"name": "x", "order": True, "elements": ["e"], "table": [[0]]},
+], ids=["table", "order"])
+def test_parse_rejects_json_booleans(doc):
+    with pytest.raises(SchemaError, match="must be"):
+        parse_group(json.dumps(doc))
 
 
 # a*b = a + s(b) mod 5 with s swapping 3 and 4: a Latin square with no identity
@@ -463,11 +490,12 @@ def test_all_subgroups_matches_the_coset_enumeration(g):
 @pytest.mark.parametrize("name, most", [("S5", 1300), ("D60", 1400), ("Z120", 80)])
 def test_all_subgroups_joins_once_per_double_coset_class(name, most, monkeypatch):
     # one join per right coset Hx would take 4169 / 5616 / 344 closures
+    group = builtin_group(name)  # its table validation also calls _closure
     joins = []
     closure = harmop.groups._closure
     monkeypatch.setattr(harmop.groups, "_closure",
-                        lambda g, members: joins.append(len(members)) or closure(g, members))
-    all_subgroups(builtin_group(name))
+                        lambda table, members: joins.append(len(members)) or closure(table, members))
+    all_subgroups(group)
     assert 0 < len(joins) <= most
 
 

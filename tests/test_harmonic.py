@@ -28,12 +28,13 @@ from harmop.linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    commutant,
     double_commutant,
     inclusion_residual,
     null_space,
     projector_distance,
 )
-from harmop import actions, harmonic
+from harmop import actions, harmonic, linalg
 from harmop.actions import (
     Superoperator,
     bullet,
@@ -61,7 +62,7 @@ from harmop.harmonic import (
 )
 from harmop.generators import (
     random_adapted_measure,
-    random_nonadapted_measure,
+    random_nonadapted_measures,
     random_operator,
     random_positive_definite,
     random_sparse_operator,
@@ -288,11 +289,11 @@ def test_support_fixed_points_and_ideals_hold_across_a_decade_of_rank_tol(name, 
         assert ideal.dim == n - len(supp)
     # the fixed points and the pre-annihilator ideal are complementary
     for action in (theta(random_adapted_measure(g, rng)),
-                   theta(random_nonadapted_measure(g, rng)),
+                   theta(random_nonadapted_measures(g, rng, 1)[0]),
                    theta_hat(random_positive_definite(g, rng))):
         assert fixed_points(action, tol).dim + pre_annihilator_ideal(action, tol).dim == n * n
     # the harmonic functions have the index dimension, the Willis ideal the rest
-    for mu in (random_adapted_measure(g, rng), random_nonadapted_measure(g, rng)):
+    for mu in (random_adapted_measure(g, rng), random_nonadapted_measures(g, rng, 1)[0]):
         index = n // len(generated_subgroup(g, mu.support(tol)))
         assert harmonic_functions(mu, tol).dim == index
         assert willis_ideal(mu, tol).dim == n - index
@@ -397,7 +398,7 @@ def test_limit_product_periodic_walks_converge_to_the_mean():
 def _limit_measures(group, rng):
     """An adapted measure, a measure inside a proper subgroup, and one on the
     smallest subgroup whose left and right cosets differ, if there is one."""
-    mus = [random_adapted_measure(group, rng), random_nonadapted_measure(group, rng)]
+    mus = [random_adapted_measure(group, rng), random_nonadapted_measures(group, rng, 1)[0]]
     skew = [s for s in all_subgroups(group) if s.left_cosets() != s.right_cosets()]
     if skew:
         weights = np.zeros(group.order)
@@ -671,11 +672,16 @@ def test_suite_forms_no_doubled_space_array(monkeypatch):
     assert peak < 2_000_000, peak
 
 
+def _diagonal_units(n):
+    """The matrix units E_aa; they span the multiplication operators."""
+    return list(np.eye(n)[:, :, None] * np.eye(n))
+
+
 def _quotient_residual_by_pairs(group):
     """The per-pair form of the suite's quotient check: bullet(E_ff, E_gg)
     against Tr(E_ff) E_gg, one bullet call per pair."""
     n = group.order
-    units = harmonic._diagonal_units(n)
+    units = _diagonal_units(n)
     return max(
         float(np.abs(bullet(group, f_mat, g_mat) - trace_pairing(np.eye(n), f_mat) * g_mat).max())
         for f_mat in units for g_mat in units
@@ -768,6 +774,61 @@ def test_bullet_closure_residual_matches_the_product_oracle(name):
     oracle = [_closure_residual_by_products(g, s) for s in closed + not_closed]
     assert np.abs(np.subtract(residuals, oracle)).max() <= 1e-12
     assert max(residuals[:3]) <= DEFAULT_TOL.eq_tol < min(residuals[3:])
+
+
+def _units_form(group, members):
+    """The oracle for harmonic._subgroup_generators: lambda(h) for each member
+    and every unit E_aa in place of the one diagonal."""
+    return [left_regular(group, h) for h in members] + _diagonal_units(group.order)
+
+
+@pytest.mark.parametrize("name", SWEEP_ZOO + ("S4", "D12", "Z24", "Z2xZ12", "Z2xZ2xZ6"))
+def test_one_multiplication_operator_gives_the_commutant_of_all_units(name):
+    g = builtin_group(name)
+    for sub in all_subgroups(g):
+        space = commutant(harmonic._subgroup_generators(g, sub), g.order)
+        oracle = commutant(_units_form(g, sub), g.order)
+        assert space.dim == oracle.dim == g.order // len(sub)
+        assert projector_distance(space, oracle) <= 1e-10
+
+
+@pytest.mark.parametrize("name", SWEEP_ZOO)
+def test_route_b_gives_the_algebra_of_all_units_on_p1_level_sets(name):
+    g = builtin_group(name)
+    for sub in all_subgroups(g):
+        algebra = double_commutant(harmonic._subgroup_generators(g, sub), g.order)
+        oracle = double_commutant(_units_form(g, sub), g.order)
+        assert algebra.dim == oracle.dim == g.order * len(sub)
+        assert projector_distance(algebra, oracle) <= 1e-10
+
+
+def test_invariant_algebra_stage_two_has_one_row_block_per_generator(monkeypatch):
+    g = builtin_group("Z24")
+    n = g.order
+    shapes = []
+    original = linalg.null_space
+
+    def recording(mat, *args, **kwargs):
+        shapes.append(mat.shape)
+        return original(mat, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "null_space", recording)
+    for sub in all_subgroups(g):
+        shapes.clear()
+        assert invariant_algebra(sub).passed
+        assert len(shapes) == 1 and shapes[0][0] <= (len(sub) + 1) * n * n, shapes
+
+
+def test_invariant_algebra_memory_over_the_subgroups_of_z24():
+    # with all 24 units as generators the largest stage-2 matrix was 58.8 MB
+    subs = all_subgroups(builtin_group("Z24"))
+    tracemalloc.start()
+    try:
+        assert all(invariant_algebra(sub).passed for sub in subs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000_000, peak
 
 
 def test_invariant_algebra_trivial_subgroup():

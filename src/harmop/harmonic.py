@@ -97,7 +97,9 @@ def _subgroup_generators(group: GroupTable, members) -> list[np.ndarray]:
 
 def _stripe_span(group: GroupTable, level) -> Subspace:
     """span{E_ab : a b^-1 in level}: operators supported on the level set."""
-    return _coordinate_span(np.isin(displacement_table(group), list(level)))
+    marks = np.zeros(group.order, dtype=bool)
+    marks[list(level)] = True
+    return _coordinate_span(marks[displacement_table(group)])
 
 
 def _bimodule_span(group: GroupTable, level, tol: Tolerances) -> Subspace:

@@ -21,12 +21,22 @@ Each result is certified before it is returned: its commutator with every
 generator and adjoint is at most eq_tol * max(1, scale), and the measured
 eigenvector residual of h is small enough at the narrowest split; otherwise
 LinAlgContractError names both.
+
+A double commutant is the commutant of a basis of the first commutant A.
+When A is commutative it needs no second pass: the stage-1 element h of
+that basis has one spectral projection per dimension of A, which then span
+A, and A' is block diagonal in h's eigenbasis, a block per cluster (the
+commutative case of Murota, Kanno, Kojima and Kojima, 2010).  The block
+form is taken only when the cluster count, h's commutators with A, the
+generators' mass off the blocks and the eigenvector residual certify it;
+otherwise the second pass runs, with its closure checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,6 +211,45 @@ def inclusion_residual(a: Subspace, b: Subspace) -> float:
 # ---------------------------------------------------------------------------
 # commutants
 
+class _Split(NamedTuple):
+    """Stage 1 of a commutant: the Hermitian element h, ||h||, its eigenbasis U,
+    the cluster count, the kept pairs (i, j) with eigenvalues i and j in one
+    cluster, and whether the measured eigenvector residual is trusted at every
+    split (leak * residual <= the narrowest split gap)."""
+
+    herm: np.ndarray
+    norm: float
+    u: np.ndarray
+    clusters: int
+    kept: np.ndarray
+    trusted: bool
+    eig_resid: float
+    gap: float
+
+
+def _stage_one(stack: np.ndarray, n: int, tol: Tolerances) -> _Split:
+    """The spectral clusters of one Hermitian element h = sum_k c_k (A_k + A_k*)
+    of the algebra the stack generates, with fixed weights c_k.
+
+    An eigenvector residual r moves a commutant direction at most 2 r / g out
+    of the kept span across a split at gap g, and stage 2 still keeps it when
+    8 sqrt(K) r / g <= rank_tol for K generators.  Splits are made only at gaps
+    where the nominal residual meets that; ``trusted`` checks the measured one.
+    """
+    weights = 1.0 + (np.arange(1, len(stack) + 1) * _GOLDEN) % 1.0
+    herm = np.einsum("k,kij->ij", weights, stack + stack.conj().transpose(0, 2, 1))
+    w, u = np.linalg.eigh(herm)
+    norm = float(np.abs(w).max(initial=0.0))
+    leak = 8 * math.sqrt(len(stack)) / tol.rank_tol
+    gaps = np.diff(w)
+    split = gaps > max(diagonal_cutoff(w, tol), leak * _EIGH_RESIDUAL * n * norm)
+    cluster = np.concatenate([[0], np.cumsum(split)])
+    eig_resid = float(np.linalg.norm(herm @ u - u * w))
+    gap = float(gaps[split].min(initial=np.inf))
+    return _Split(herm, norm, u, int(cluster[-1]) + 1, cluster[:, None] == cluster[None, :],
+                  leak * eig_resid <= gap, eig_resid, gap)
+
+
 def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """{X : XA = AX and XA* = A*X for all generators A} as vectorized matrices.
 
@@ -238,23 +287,10 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     # a commutator is "zero" relative to the generator scale, not relative to
     # the largest commutator in the stack
     scale = float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-
-    # stage 1: the spectral clusters of one Hermitian element h of the algebra.
-    # An eigenvector residual r moves a commutant direction at most 2 r / g out
-    # of the kept span across a split at gap g, and stage 2 still keeps it when
-    # 8 sqrt(K) r / g <= rank_tol for K generators.  Splits are made only at
-    # gaps where the nominal residual meets that; the certification checks the
-    # measured one.
-    weights = 1.0 + (np.arange(1, len(stack) + 1) * _GOLDEN) % 1.0
-    herm = np.einsum("k,kij->ij", weights, stack + stack.conj().transpose(0, 2, 1))
-    w, u = np.linalg.eigh(herm)
-    norm = float(np.abs(w).max(initial=0.0))
-    leak = 8 * math.sqrt(len(stack)) / tol.rank_tol
-    gaps = np.diff(w)
-    split = gaps > max(diagonal_cutoff(w, tol), leak * _EIGH_RESIDUAL * n * norm)
-    cluster = np.concatenate([[0], np.cumsum(split)])
-    ii, jj = np.nonzero(cluster[:, None] == cluster[None, :])
+    split = _stage_one(stack, n, tol)
+    ii, jj = np.nonzero(split.kept)
     d = len(ii)
+    u = split.u
 
     # stage 2: column p = (i, j) is vec(B E_ij - E_ij B) for each B = U* A U;
     # its rows (a, j) get B[a, i] and its rows (i, b) get -B[j, b]
@@ -276,28 +312,67 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
         block = stack[start:start + step, None]
         resid = max(resid, float(np.linalg.norm(block @ mats - mats @ block, axis=(2, 3))
                                  .max(initial=0.0)))
-    eig_resid = float(np.linalg.norm(herm @ u - u * w))
-    gap = float(gaps[split].min(initial=np.inf))
-    if not (resid <= tol.eq_tol * max(1.0, scale) and leak * eig_resid <= gap):
-        ref = max(1.0, norm)
+    if not (resid <= tol.eq_tol * max(1.0, scale) and split.trusted):
+        ref = max(1.0, split.norm)
         raise LinAlgContractError(
             f"commutant not certified: commutator residual {resid:.3g} at generator scale "
-            f"{scale:.3g}; eigenvector residual {eig_resid / ref:.3g} and smallest split gap "
-            f"{gap / ref:.3g}, both relative to max(1, ||h||)")
+            f"{scale:.3g}; eigenvector residual {split.eig_resid / ref:.3g} and smallest split "
+            f"gap {split.gap / ref:.3g}, both relative to max(1, ||h||)")
     return Subspace(n * n, mats.reshape(len(mats), -1).T)
+
+
+def _block_form(generators, first: Subspace, n: int, tol: Tolerances) -> Subspace | None:
+    """A' in block form, read off stage 1 of a basis of the first commutant A,
+    or None when any of the conditions in double_commutant fails."""
+    basis = _in_field(first.basis).T.reshape(-1, n, n)
+    split = _stage_one(basis, n, tol)
+    if split.clusters != first.dim or not split.trusted:
+        return None
+    herm, u = split.herm, split.u
+    central = float(np.linalg.norm(basis @ herm - herm @ basis, axis=(1, 2)).max())
+    if central > tol.eq_tol * max(1.0, split.norm):
+        return None
+    if generators:  # checked by the first commutant; adjoints add nothing here
+        stack = _in_field(np.stack(generators))
+        off_block = float(np.linalg.norm((u.conj().T @ stack @ u) * ~split.kept, axis=(1, 2)).max())
+        # the generator scale (an SVD per generator) is needed only above eq_tol
+        if off_block > tol.eq_tol and off_block > tol.eq_tol * float(
+                np.linalg.norm(stack, 2, axis=(1, 2)).max()):
+            return None
+    ii, jj = np.nonzero(split.kept)
+    return Subspace(n * n, (u[:, None, ii] * u.conj()[None, :, jj]).reshape(n * n, -1))
 
 
 def double_commutant(generators, n: int | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """The *-algebra generated by the generators, via two commutant passes.
+    """The *-algebra generated by the generators: the commutant A' of their
+    commutant A.
 
-    The second pass uses a basis of the first as its generators.  All adjoints
-    and pairwise products are projected in blocks and must stay within
-    eq_tol * max(1, ||v||) of the result; they are formed in the field of the
-    result's basis, which is real when the first basis is.
+    Block form: A is a *-algebra that holds the stage-1 element h of a basis of
+    A, h = sum_k c_k (B_k + B_k*) with commutant's weights, so h's spectral
+    projections lie in A and are linearly independent.  When h has dim A
+    clusters they span A, A is commutative, and A' = span{u_i u_j* : i, j in
+    one cluster} over h's eigenvectors u_i.  That basis is orthonormal and
+    closed under products and adjoints by construction, so it is returned with
+    no second pass when, besides the cluster count, every basis element of A
+    commutes with h within eq_tol * max(1, ||h||), every generator's mass off
+    the blocks is within eq_tol * max(1, scale) for the largest generator
+    norm scale, and the measured eigenvector
+    residual is trusted at every split, as commutant certifies it.
+
+    Otherwise (a non-commutative A such as the right-regular algebra, or an h
+    whose clusters merged) a second commutant pass uses a basis of A as its
+    generators, and all adjoints and pairwise products of its basis are
+    projected in blocks and must stay within eq_tol * max(1, ||v||) of the
+    result; they are formed in the field of the result's basis, which is real
+    when the first basis is.
     """
+    generators = [np.asarray(g) for g in generators]
     first = commutant(generators, n, tol)
     n = math.isqrt(first.ambient_dim)
+    block = _block_form(generators, first, n, tol)
+    if block is not None:
+        return block
     second = commutant(list(first.basis.T.reshape(-1, n, n)), n, tol)
     mats = _in_field(second.basis).T.reshape(-1, n, n)
 

@@ -21,7 +21,7 @@ from harmop.cli import (
 )
 from harmop import generators
 from harmop.groups import all_subgroups, cyclic_group, symmetric_group
-from harmop.functions import function_to_json, indicator_function, measure_to_json
+from harmop.functions import constant_function, function_to_json, indicator_function, measure_to_json
 from harmop.functions import GroupFunction, Measure
 from harmop.generators import random_positive_definite
 from harmop.harmonic import HarmonicReport, verify_main_theorem
@@ -243,6 +243,17 @@ def test_verify_runs_at_the_doubled_space_cap(capsys):
     assert main(["verify", "--group", "S4", "--count", "1"]) == 0
     summary = json.loads(capsys.readouterr().out)["summary"]
     assert summary["passed"] == 32 and summary["failed"] == 0
+
+
+def test_verify_runs_the_whole_group_as_level_set_at_the_cap(tmp_path, capsys):
+    # sigma = 1 makes L = G, so route (B) generates all of M_24: dimension 576
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(function_to_json(constant_function(cyclic_group(24)))))
+    assert main(["verify", "--group", "Z24", "--sigma", str(path)]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["summary"]["failed"] == 0
+    assert all(c["passed"] for c in data["checks"])
+    assert {c["metric"] for c in data["checks"] if c["name"].endswith("/dimension")} == {0.0}
 
 
 @pytest.mark.parametrize("group", ["D60", "S5"])

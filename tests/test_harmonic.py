@@ -72,6 +72,7 @@ from harmop.generators import (
 
 from spans import in_span, projector
 from test_actions import right_regular, trace_pairing
+from test_linalg import counted_commutant
 
 Z2 = cyclic_group(2)
 Z4 = cyclic_group(4)
@@ -305,6 +306,16 @@ def test_main_theorem_constant_sigma_gives_everything():
     report = verify_main_theorem(constant_function(S3))
     assert report.passed
     assert report.expected_dim == 36
+
+
+def test_main_theorem_at_the_cap_with_constant_sigma_takes_one_commutant(monkeypatch):
+    # L = G: the first commutant is the scalars, so route (B) is its block form,
+    # M_24 in one block, with no second pass and no pairwise products
+    calls = counted_commutant(monkeypatch)
+    report = verify_main_theorem(constant_function(builtin_group("S4")))
+    assert calls == [25]  # lambda(G) and the diagonal
+    assert report.passed
+    assert set(report.dims.values()) == {576}
 
 
 def test_main_theorem_random_pd():

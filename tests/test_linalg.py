@@ -8,6 +8,7 @@ import harmop.linalg as linalg
 from harmop.groups import all_subgroups, builtin_group, cyclic_group, symmetric_group
 from harmop.actions import left_regular, theta_hat
 from harmop.generators import random_positive_definite
+from harmop.harmonic import _subgroup_generators
 from harmop.linalg import (
     DEFAULT_TOL,
     LinAlgContractError,
@@ -392,6 +393,111 @@ def test_double_commutant_second_pass_matches_the_stacked_oracle(name, level):
     assert second.dim == n * len(members)
 
 
+def counted_commutant(monkeypatch):
+    """Patch linalg.commutant to record the generator count of each call."""
+    calls = []
+    original = linalg.commutant
+
+    def counted(gens, n=None, tol=DEFAULT_TOL):
+        calls.append(len(gens))
+        return original(gens, n, tol)
+
+    monkeypatch.setattr(linalg, "commutant", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ORACLE_ZOO + ("S4", "D12", "Z24"))
+def test_block_form_matches_the_dense_second_pass_on_every_subgroup(monkeypatch, name):
+    # the oracle is the dense route with its closure checks up to order 12;
+    # at order 24 it is the second commutant pass alone, since the pairwise
+    # products of a 576-dimensional basis take seconds per subgroup.  Up to
+    # order 12, and for L = G, every call takes the block form (one commutant
+    # call); at order 24 stage 1 merges two of eight or twelve coset values on
+    # a few subgroups, and those take the dense path
+    g = builtin_group(name)
+    n = g.order
+    calls = counted_commutant(monkeypatch)
+    for sub in all_subgroups(g):
+        gens = _subgroup_generators(g, sub)  # route (B)'s generators
+        del calls[:]
+        block = double_commutant(gens, n)
+        assert len(calls) == 1 or (n > 12 and len(sub) < n and len(calls) == 2)
+        if n <= 12:
+            with monkeypatch.context() as m:
+                m.setattr(linalg, "_block_form", lambda *args: None)
+                dense = double_commutant(gens, n)
+        else:
+            first = commutant(gens, n)
+            dense = commutant(list(first.basis.T.reshape(-1, n, n)), n)
+        assert block.dim == dense.dim == n * len(sub)
+        assert projector_distance(block, dense) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["S3", "Q8", "empty"])
+def test_a_non_commutative_first_commutant_takes_the_dense_path(monkeypatch, case):
+    # the first commutant of lambda(G) is the right-regular algebra, and that
+    # of the empty list is all of M_3: neither is commutative
+    calls = counted_commutant(monkeypatch)
+    if case == "empty":
+        space, dim = double_commutant([], n=3), 1
+    else:
+        g = builtin_group(case)
+        space, dim = double_commutant([left_regular(g, x) for x in range(g.order)]), g.order
+    assert len(calls) == 2
+    assert space.dim == dim
+
+
+def _orthonormal_basis(*mats):
+    """The Subspace of C^4 whose basis columns are the given orthonormal 2 x 2 matrices."""
+    return Subspace(4, np.array([m.reshape(-1) for m in mats]).T)
+
+
+def _merged_clusters():
+    # the diagonal algebra of M_2, its basis rotated so that stage 1 sums it to
+    # a multiple of the identity: one cluster for two dimensions
+    weights = 1.0 + (np.arange(1, 3) * linalg._GOLDEN) % 1.0
+    angle = np.pi / 4 - np.arctan2(weights[1], weights[0])
+    rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return _orthonormal_basis(*(np.diag(col) for col in rot.T)), [np.diag([1.0, 2.0])], 2
+
+
+def _not_central():
+    # span{1, E_01}: h = a 1 + b (E_01 + E_10) has two clusters for two
+    # dimensions, but E_01 does not commute with it; with E_10 the dense
+    # second pass leaves the scalars
+    unit = np.array([[0.0, 1.0], [0.0, 0.0]])
+    return _orthonormal_basis(np.eye(2) / np.sqrt(2), unit), [np.eye(2)], 1
+
+
+def _not_contained():
+    # the diagonal algebra, with distinct clusters and central, but the
+    # generator, the flip, lies off its blocks
+    first = _orthonormal_basis(np.diag([0.6, 0.8]), np.diag([0.8, -0.6]))
+    return first, [np.array([[0.0, 1.0], [1.0, 0.0]])], 2
+
+
+# the first commutant handed to double_commutant, its generators, and the dimension
+# of the dense second pass, with the condition that sends each to that pass
+GUARD_CASES = {"cluster_count": _merged_clusters, "centrality": _not_central,
+               "containment": _not_contained}
+
+
+@pytest.mark.parametrize("guard", sorted(GUARD_CASES))
+def test_each_block_form_guard_sends_its_case_to_the_dense_path(monkeypatch, guard):
+    first, gens, dim = GUARD_CASES[guard]()
+    passes = []
+    original = linalg.commutant
+
+    def patched_first(generators, n, tol):
+        passes.append(len(generators))
+        return first if len(passes) == 1 else original(generators, n, tol)
+
+    monkeypatch.setattr(linalg, "commutant", patched_first)
+    space = double_commutant(gens, 2)
+    assert passes == [len(gens), first.dim]
+    assert space.dim == dim
+
+
 def _skew(rng, n):
     a = rng.standard_normal((n, n))
     return a - a.T
@@ -518,14 +624,24 @@ def _closure_failure(space, n):
     [[0.0, 1.0, 1.0, 0.0]],  # the flip, whose square 1 is outside
 ])
 def test_double_commutant_closure_check_matches_pairwise_loop(monkeypatch, span):
+    # the first pass stays real: the commutant of the identity is all of M_2,
+    # which is not commutative, so the second pass and its closure check run;
+    # only the second pass returns the skewed span
     skew = Subspace.from_span(span)
-    monkeypatch.setattr(linalg, "commutant", lambda gens, n, tol: skew)
+    passes = []
+
+    def second_pass_is_skew(gens, n, tol):
+        passes.append(len(gens))
+        return commutant(gens, n, tol) if len(passes) == 1 else skew
+
+    monkeypatch.setattr(linalg, "commutant", second_pass_is_skew)
     expected = _closure_failure(skew, 2)
     if expected is None:
         assert double_commutant([np.eye(2)], 2) is skew
     else:
         with pytest.raises(LinAlgContractError, match=f"not closed under {expected}"):
             double_commutant([np.eye(2)], 2)
+    assert passes == [1, 4]  # the identity, then a basis of M_2
 
 
 def test_psd_factorize_identity():

@@ -13,41 +13,36 @@ once each.  Subspaces are compared from their bases, never their projectors.
 A commutant is found in two stages.  Stage 1 splits the spectrum of one
 Hermitian element h of the generated algebra into clusters; that split is
 the one eigenvalue decision outside _rank, and it can only enlarge the
-space searched: the clusters are cut only at gaps wider than both
-diagonal_cutoff and what the eigenvectors can be trusted across, and any
-commutant element lies in the blocks they leave.  Stage 2 makes the rank
-decision, one null space over those blocks with every generator imposed.
-Each result is certified before it is returned: its commutator with every
-generator and adjoint is at most eq_tol * max(1, scale), and the measured
-eigenvector residual of h is small enough at the narrowest split; otherwise
-LinAlgContractError names both.
+space searched: a gap is cut only when it is wider than diagonal_cutoff and
+than what the measured eigenvector residual of h can leak across it, and
+any commutant element lies in the blocks the cuts leave.  Stage 2 makes the
+rank decision, one null space over those blocks with every generator
+imposed.  Each result is certified before it is returned: its commutator
+with every generator and adjoint is at most eq_tol * max(1, scale), or
+LinAlgContractError gives the residual and that bound.
 
-A double commutant is the commutant of a basis of the first commutant A.
-When A is commutative it needs no second pass: the stage-1 element h of
-that basis has one spectral projection per dimension of A, which then span
-A, and A' is block diagonal in h's eigenbasis, a block per cluster (the
-commutative case of Murota, Kanno, Kojima and Kojima, 2010).  The block
-form is taken only when the cluster count, h's commutators with A, the
-generators' mass off the blocks and the eigenvector residual certify it;
-otherwise the second pass runs, with its closure checks.
+A double commutant is read off stage 1 on a basis of the first commutant A,
+with complex weights, with no second commutant (Maehara and Murota, 2010):
+the clusters are the irreducible modules of A', a second element of A links
+the clusters of each isotypic component, and A' is spanned by the matrix
+units carried through those links.  Four guards certify it (the links'
+unitarity, the cluster count, A's form in the frames and the generators'
+containment); the first that fails raises LinAlgContractError with its
+value and bound, and nothing falls back.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 # |G|^4 work: commutator stacks, dense superoperators, the doubled space
 SUPEROP_CAP = 24
-# frac(k * golden ratio) spreads the weights of commutant's Hermitian element
-_GOLDEN = (1 + math.sqrt(5)) / 2
-# nominal residual ||hU - U diag(w)||_F of a Hermitian eigensolver, per n ||h||;
-# the largest measured on the subgroup commutants of ten groups of order 2-24
-# (and their second passes) is 1.1 eps
-_EIGH_RESIDUAL = 8 * np.finfo(float).eps
+# 1 + frac(k * ratio) spreads stage 1's weights: the golden ratio gives the
+# real parts, the silver ratio the imaginary parts of double_commutant's
+_GOLDEN, _SILVER = (1 + math.sqrt(5)) / 2, 1 + math.sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -211,43 +206,33 @@ def inclusion_residual(a: Subspace, b: Subspace) -> float:
 # ---------------------------------------------------------------------------
 # commutants
 
-class _Split(NamedTuple):
-    """Stage 1 of a commutant: the Hermitian element h, ||h||, its eigenbasis U,
-    the cluster count, the kept pairs (i, j) with eigenvalues i and j in one
-    cluster, and whether the measured eigenvector residual is trusted at every
-    split (leak * residual <= the narrowest split gap)."""
-
-    herm: np.ndarray
-    norm: float
-    u: np.ndarray
-    clusters: int
-    kept: np.ndarray
-    trusted: bool
-    eig_resid: float
-    gap: float
+def _weights(count: int, ratio: float = _GOLDEN) -> np.ndarray:
+    """1 + frac(k * ratio) for k = 1..count."""
+    return 1.0 + (np.arange(1, count + 1) * ratio) % 1.0
 
 
-def _stage_one(stack: np.ndarray, n: int, tol: Tolerances) -> _Split:
-    """The spectral clusters of one Hermitian element h = sum_k c_k (A_k + A_k*)
-    of the algebra the stack generates, with fixed weights c_k.
+_COMPLEX_WEIGHTS = _weights(SUPEROP_CAP ** 2) + 1j * _weights(SUPEROP_CAP ** 2, _SILVER)
+
+
+def _stage_one(stack: np.ndarray, weights: np.ndarray,
+               tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenbasis U of h = sum_k (c_k A_k + conj(c_k) A_k*), for the
+    caller's weights c_k, and the cluster of each (ascending) eigenvalue.
 
     An eigenvector residual r moves a commutant direction at most 2 r / g out
     of the kept span across a split at gap g, and stage 2 still keeps it when
-    8 sqrt(K) r / g <= rank_tol for K generators.  Splits are made only at gaps
-    where the nominal residual meets that; ``trusted`` checks the measured one.
+    8 sqrt(K) r / g <= rank_tol for K generators.  So a gap is cut only when it
+    is wider than diagonal_cutoff and than 8 sqrt(K) r / rank_tol, with r the
+    measured ||hU - U diag(w)||_F floored at eps ||h|| for the rounding in r.
     """
-    weights = 1.0 + (np.arange(1, len(stack) + 1) * _GOLDEN) % 1.0
-    herm = np.einsum("k,kij->ij", weights, stack + stack.conj().transpose(0, 2, 1))
+    half = (weights @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
+    herm = _in_field(half + half.conj().T)
     w, u = np.linalg.eigh(herm)
-    norm = float(np.abs(w).max(initial=0.0))
+    norm = float(max(-w[0], w[-1]))  # w ascends
+    resid = max(float(np.linalg.norm(herm @ u - u * w)), np.finfo(float).eps * norm)
     leak = 8 * math.sqrt(len(stack)) / tol.rank_tol
-    gaps = np.diff(w)
-    split = gaps > max(diagonal_cutoff(w, tol), leak * _EIGH_RESIDUAL * n * norm)
-    cluster = np.concatenate([[0], np.cumsum(split)])
-    eig_resid = float(np.linalg.norm(herm @ u - u * w))
-    gap = float(gaps[split].min(initial=np.inf))
-    return _Split(herm, norm, u, int(cluster[-1]) + 1, cluster[:, None] == cluster[None, :],
-                  leak * eig_resid <= gap, eig_resid, gap)
+    split = np.diff(w) > max(diagonal_cutoff(w, tol), leak * resid)
+    return u, np.concatenate([[0], np.cumsum(split)])
 
 
 def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -255,17 +240,16 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
 
     Adjoints not already in the list are appended, so the result is a
     *-algebra.  Stage 1 takes one Hermitian element h = sum_k c_k (A_k + A_k*)
-    of the generated algebra, with fixed weights c_k, and its eigenbasis U.
-    Every X in the commutant commutes with h's spectral projections, so
-    U* X U lies in the span of the E_ij whose eigenvalues i and j share a
-    cluster; stage 1 can only make that span too large.  Stage 2 is the null
-    space, at the generator scale, of the commutators with every U* A U over
-    that span, rotated back by U.  The result is certified on every call
-    (LinAlgContractError otherwise): each basis element commutes with each
-    generator within eq_tol * max(1, scale), and the eigenvector residual is
-    small enough at every split.  An empty list needs ``n`` and yields the
-    full space.  Matrices above SUPEROP_CAP raise SizeCapError before anything
-    is allocated.  Every decomposition is float64 when every generator is real.
+    of the generated algebra, with real weights c_k = 1 + frac(k * golden
+    ratio), and its eigenbasis U.  Every X in the commutant commutes with h's
+    spectral projections, so U* X U lies in the span of the E_ij whose
+    eigenvalues i and j share a cluster.  Stage 2 is the null space, at the
+    generator scale, of the commutators with every U* A U over that span,
+    rotated back by U.  Each basis element must commute with each generator
+    within eq_tol * max(1, scale), or LinAlgContractError is raised.  An empty
+    list needs ``n`` and yields the full space.  Matrices above SUPEROP_CAP
+    raise SizeCapError before anything is allocated.  Every decomposition is
+    float64 when every generator is real.
     """
     gens = [np.asarray(g) for g in generators]
     if not gens and n is None:
@@ -287,10 +271,9 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     # a commutator is "zero" relative to the generator scale, not relative to
     # the largest commutator in the stack
     scale = float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-    split = _stage_one(stack, n, tol)
-    ii, jj = np.nonzero(split.kept)
+    u, cluster = _stage_one(stack, _weights(len(stack)), tol)
+    ii, jj = np.nonzero(cluster[:, None] == cluster[None, :])
     d = len(ii)
-    u = split.u
 
     # stage 2: column p = (i, j) is vec(B E_ij - E_ij B) for each B = U* A U;
     # its rows (a, j) get B[a, i] and its rows (i, b) get -B[j, b]
@@ -304,90 +287,106 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     small[:, ii, jj] = kernel.T
     mats = u @ small @ u.conj().T
 
-    # certification: every basis element commutes with every generator, and
-    # the measured eigenvector residual kept every split's leak under the cutoff
+    # certification: every basis element commutes with every generator
     resid = 0.0
     step = max(1, (1 << 20) // max(1, mats.size))  # about 2^20 commutator entries at a time
     for start in range(0, len(stack), step):
         block = stack[start:start + step, None]
         resid = max(resid, float(np.linalg.norm(block @ mats - mats @ block, axis=(2, 3))
                                  .max(initial=0.0)))
-    if not (resid <= tol.eq_tol * max(1.0, scale) and split.trusted):
-        ref = max(1.0, split.norm)
-        raise LinAlgContractError(
-            f"commutant not certified: commutator residual {resid:.3g} at generator scale "
-            f"{scale:.3g}; eigenvector residual {split.eig_resid / ref:.3g} and smallest split "
-            f"gap {split.gap / ref:.3g}, both relative to max(1, ||h||)")
+    bound = tol.eq_tol * max(1.0, scale)
+    if not resid <= bound:
+        raise LinAlgContractError(f"commutant not certified: commutator residual {resid:.3g} "
+                                  f"above its bound {bound:.3g}, at generator scale {scale:.3g}")
     return Subspace(n * n, mats.reshape(len(mats), -1).T)
 
 
-def _block_form(generators, first: Subspace, n: int, tol: Tolerances) -> Subspace | None:
-    """A' in block form, read off stage 1 of a basis of the first commutant A,
-    or None when any of the conditions in double_commutant fails."""
-    basis = _in_field(first.basis).T.reshape(-1, n, n)
-    split = _stage_one(basis, n, tol)
-    if split.clusters != first.dim or not split.trusted:
-        return None
-    herm, u = split.herm, split.u
-    central = float(np.linalg.norm(basis @ herm - herm @ basis, axis=(1, 2)).max())
-    if central > tol.eq_tol * max(1.0, split.norm):
-        return None
-    if generators:  # checked by the first commutant; adjoints add nothing here
-        stack = _in_field(np.stack(generators))
-        off_block = float(np.linalg.norm((u.conj().T @ stack @ u) * ~split.kept, axis=(1, 2)).max())
-        # the generator scale (an SVD per generator) is needed only above eq_tol
-        if off_block > tol.eq_tol and off_block > tol.eq_tol * float(
-                np.linalg.norm(stack, 2, axis=(1, 2)).max()):
-            return None
-    ii, jj = np.nonzero(split.kept)
-    return Subspace(n * n, (u[:, None, ii] * u.conj()[None, :, jj]).reshape(n * n, -1))
+def _certify(guard: str, value: float, bound: float) -> None:
+    """Unless value <= bound, raise LinAlgContractError with all three."""
+    if not value <= bound:
+        raise LinAlgContractError(f"double commutant not certified: {guard} "
+                                  f"{value:.3g} above its bound {bound:.3g}")
 
 
 def double_commutant(generators, n: int | None = None,
                      tol: Tolerances = DEFAULT_TOL) -> Subspace:
-    """The *-algebra generated by the generators: the commutant A' of their
-    commutant A.
+    """The *-algebra generated by the generators, A' for their commutant A,
+    from one commutant call and stage 1 on a basis B_k of A.
 
-    Block form: A is a *-algebra that holds the stage-1 element h of a basis of
-    A, h = sum_k c_k (B_k + B_k*) with commutant's weights, so h's spectral
-    projections lie in A and are linearly independent.  When h has dim A
-    clusters they span A, A is commutative, and A' = span{u_i u_j* : i, j in
-    one cluster} over h's eigenvectors u_i.  That basis is orthonormal and
-    closed under products and adjoints by construction, so it is returned with
-    no second pass when, besides the cluster count, every basis element of A
-    commutes with h within eq_tol * max(1, ||h||), every generator's mass off
-    the blocks is within eq_tol * max(1, scale) for the largest generator
-    norm scale, and the measured eigenvector
-    residual is trusted at every split, as commutant certifies it.
+    Up to a unitary, A is a sum of components M_m (x) 1_d and A' the sum of
+    the 1_m (x) M_d.  With complex weights c_k, h = sum_k (c_k B_k + conj(c_k)
+    B_k*) is generic: each component gives m clusters of d eigenvectors, one
+    irreducible module of A' each (real weights leave the two clusters of a
+    quaternionic component merged, as on Q8).  In h's eigenbasis U the block
+    U_i* B U_j of B = sum_k c_k B_k, a link, is a nonzero multiple of a
+    unitary when clusters i and j share a component and zero otherwise.
+    Cluster j takes the frame V_j = U_j T_j*, T_j its link from the first
+    cluster of its component scaled to a unitary, and A' is spanned by
+    sum_j V_j E_ab V_j* over each component.  A commutative A has no links.
 
-    Otherwise (a non-commutative A such as the right-regular algebra, or an h
-    whose clusters merged) a second commutant pass uses a basis of A as its
-    generators, and all adjoints and pairwise products of its basis are
-    projected in blocks and must stay within eq_tol * max(1, ||v||) of the
-    result; they are formed in the field of the result's basis, which is real
-    when the first basis is.
+    Guards, each raising LinAlgContractError with its value and bound:
+    link_unitarity, every scaled link unitary within eq_tol; cluster_count,
+    dim A = sum m^2; centrality, every B_k within eq_tol of its form S (x) 1_d
+    in the frames, so A is the commutant of the result, of dimension sum m^2;
+    containment, every generator within eq_tol * max(1, largest generator
+    norm) of the result.
     """
     generators = [np.asarray(g) for g in generators]
     first = commutant(generators, n, tol)
     n = math.isqrt(first.ambient_dim)
-    block = _block_form(generators, first, n, tol)
-    if block is not None:
-        return block
-    second = commutant(list(first.basis.T.reshape(-1, n, n)), n, tol)
-    mats = _in_field(second.basis).T.reshape(-1, n, n)
+    basis = _in_field(first.basis).T.reshape(-1, n, n)
+    weights = _COMPLEX_WEIGHTS[:len(basis)]
+    u, cluster = _stage_one(basis, weights, tol)
+    sizes = np.bincount(cluster)
+    starts = np.cumsum(sizes) - sizes
+    inbasis = u.conj().T @ basis @ u
 
-    def closed(vectors: np.ndarray) -> bool:
-        resid = second.residuals(vectors.T)
-        return bool(np.all(resid <= tol.eq_tol * np.maximum(1.0, np.linalg.norm(vectors, axis=1))))
+    # cluster i joins the component of the first cluster j with U_i* B U_j nonzero
+    rotated = np.einsum("k,kij->ij", weights, inbasis)
+    mass = np.add.reduceat(np.add.reduceat(np.abs(rotated) ** 2, starts, axis=0), starts, axis=1)
+    linked = mass > tol.rank_tol ** 2 * mass.sum()
+    np.fill_diagonal(linked, True)
+    root = np.argmax(linked, axis=1)
+    links = [j for j, r in enumerate(root.tolist()) if r != j]
 
-    if not closed(mats.conj().transpose(0, 2, 1).reshape(-1, n * n)):
-        raise LinAlgContractError("double commutant not closed under adjoint")
-    step = max(1, (1 << 20) // max(1, mats.size))  # about 2^20 product entries at a time
-    for start in range(0, len(mats), step):
-        prods = mats[start:start + step, None] @ mats
-        if not closed(prods.reshape(-1, n * n)):
-            raise LinAlgContractError("double commutant not closed under product")
-    return second
+    # each linked cluster j turns to its frame V_j = U_j T_j*, in the eigenbasis too
+    frames = u.astype(rotated.dtype if links else u.dtype)
+    inframe = inbasis.astype(frames.dtype)
+    for j in links:  # a link between clusters of unequal size cannot pass
+        at = cluster == j
+        link = rotated[np.ix_(cluster == root[j], at)]
+        link *= math.sqrt(len(link)) / np.linalg.norm(link)
+        _certify("link_unitarity", float(np.linalg.norm(
+            link.conj().T @ link - np.eye(link.shape[1]))), tol.eq_tol)
+        frames[:, at] = frames[:, at] @ link.conj().T
+        inframe[:, at] = link @ inframe[:, at]
+        inframe[:, :, at] = inframe[:, :, at] @ link.conj().T
+    members = np.bincount(root, minlength=len(sizes))
+    _certify(f"cluster_count |sum m^2 - dim A| (dim A = {first.dim})",
+             abs(int((members ** 2).sum()) - first.dim), 0)
+
+    # S (x) 1_d takes its entries at the first position of each cluster pair
+    comp, loc, first_at = root[cluster], np.arange(n) - starts[cluster], starts[cluster]
+    ident = (comp[:, None] == comp[None, :]) & (loc[:, None] == loc[None, :])
+    implied = inframe[:, first_at[:, None], first_at] * ident
+    _certify("centrality", float(np.linalg.norm(inframe - implied, axis=(1, 2)).max()), tol.eq_tol)
+
+    # sum_j V_j E_ab V_j*, accumulated at the pairs of the component's first cluster
+    p, q = np.nonzero((cluster[:, None] == cluster[None, :]) & (comp == cluster)[:, None])
+    span = frames[:, None, p] * frames.conj()[None, :, q]
+    for j in links:
+        at, frame = np.searchsorted(p, starts[root[j]]), frames[:, cluster == j]
+        span[:, :, at:at + sizes[j] ** 2] += (
+            frame[:, None, :, None] * frame.conj()[None, :, None, :]).reshape(n, n, -1)
+    result = Subspace(n * n, span.reshape(n * n, -1) / np.sqrt(members[cluster[p]]))
+    if generators:  # adjoints add nothing: the result is a *-algebra
+        stack = _in_field(np.stack(generators))
+        outside = float(result.residuals(stack.reshape(len(stack), -1).T).max())
+        # the generator scale (an SVD per generator) is needed only above eq_tol
+        if outside > tol.eq_tol:
+            _certify("containment", outside, tol.eq_tol * max(
+                1.0, float(np.linalg.norm(stack, 2, axis=(1, 2)).max())))
+    return result
 
 
 def psd_factorize(k_mat, tol: Tolerances = DEFAULT_TOL) -> list[tuple[np.ndarray, np.ndarray]]:

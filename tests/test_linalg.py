@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -406,14 +407,44 @@ def counted_commutant(monkeypatch):
     return calls
 
 
+def closure_failure(space, n, tol: Tolerances = DEFAULT_TOL):
+    """"adjoint" or "product" when an adjoint or a pairwise product of the basis
+    leaves the span by more than eq_tol * max(1, its norm), else None; the
+    products are formed in blocks, in the field of the basis."""
+    mats = linalg._in_field(space.basis).T.reshape(-1, n, n)
+
+    def closed(vectors: np.ndarray) -> bool:
+        resid = space.residuals(vectors.T)
+        return bool(np.all(resid <= tol.eq_tol * np.maximum(1.0, np.linalg.norm(vectors, axis=1))))
+
+    if not closed(mats.conj().transpose(0, 2, 1).reshape(-1, n * n)):
+        return "adjoint"
+    step = max(1, (1 << 20) // max(1, mats.size))  # about 2^20 product entries at a time
+    for start in range(0, len(mats), step):
+        if not closed((mats[start:start + step, None] @ mats).reshape(-1, n * n)):
+            return "product"
+    return None
+
+
+def dense_double_commutant(generators, n, closure=True) -> Subspace:
+    """The oracle: the dense second pass, a commutant of a basis of the first
+    commutant, and with ``closure`` the check that its basis is closed under
+    adjoints and pairwise products."""
+    first = commutant(generators, n)
+    second = commutant(list(first.basis.T.reshape(-1, n, n)), n)
+    assert not closure or closure_failure(second, n) is None
+    return second
+
+
 @pytest.mark.parametrize("name", ORACLE_ZOO + ("S4", "D12", "Z24"))
 def test_block_form_matches_the_dense_second_pass_on_every_subgroup(monkeypatch, name):
-    # the oracle is the dense route with its closure checks up to order 12;
-    # at order 24 it is the second commutant pass alone, since the pairwise
-    # products of a 576-dimensional basis take seconds per subgroup.  Up to
-    # order 12, and for L = G, every call takes the block form (one commutant
-    # call); at order 24 stage 1 merges two of eight or twelve coset values on
-    # a few subgroups, and those take the dense path
+    # one commutant call on every subgroup, S4's with coset values of h as
+    # close as 1.3e-4 ||h|| included.  The oracle checks closure up to order
+    # 12 only: at order 24 the pairwise products of a 576-dimensional basis
+    # take seconds per subgroup.  At order 24 the oracle's own split on the
+    # first commutant's basis crosses gaps down to 7e-3 ||h||, and on one S4
+    # subgroup (|L| = 8) it lies 1.1e-11 from the stripe span, where the block
+    # form lies 9e-13 from it
     g = builtin_group(name)
     n = g.order
     calls = counted_commutant(monkeypatch)
@@ -421,81 +452,86 @@ def test_block_form_matches_the_dense_second_pass_on_every_subgroup(monkeypatch,
         gens = _subgroup_generators(g, sub)  # route (B)'s generators
         del calls[:]
         block = double_commutant(gens, n)
-        assert len(calls) == 1 or (n > 12 and len(sub) < n and len(calls) == 2)
-        if n <= 12:
-            with monkeypatch.context() as m:
-                m.setattr(linalg, "_block_form", lambda *args: None)
-                dense = double_commutant(gens, n)
-        else:
-            first = commutant(gens, n)
-            dense = commutant(list(first.basis.T.reshape(-1, n, n)), n)
+        assert len(calls) == 1
+        dense = dense_double_commutant(gens, n, closure=n <= 12)
         assert block.dim == dense.dim == n * len(sub)
-        assert projector_distance(block, dense) <= 1e-12
+        assert projector_distance(block, dense) <= (1e-12 if n <= 12 else 2e-11)
 
 
-@pytest.mark.parametrize("case", ["S3", "Q8", "empty"])
-def test_a_non_commutative_first_commutant_takes_the_dense_path(monkeypatch, case):
+@pytest.mark.parametrize("case", ["S3", "Q8", "D4", "D6", "S4", "D12", "empty"])
+def test_a_non_commutative_first_commutant_takes_the_linked_block_form(monkeypatch, case):
     # the first commutant of lambda(G) is the right-regular algebra, and that
-    # of the empty list is all of M_3: neither is commutative
-    calls = counted_commutant(monkeypatch)
+    # of the empty list is all of M_3: the clusters of each isotypic component
+    # are linked, and Q8's quaternionic component splits only with complex weights
     if case == "empty":
-        space, dim = double_commutant([], n=3), 1
+        gens, n, dim = [], 3, 1
     else:
         g = builtin_group(case)
-        space, dim = double_commutant([left_regular(g, x) for x in range(g.order)]), g.order
-    assert len(calls) == 2
+        gens, n, dim = [left_regular(g, x) for x in range(g.order)], g.order, g.order
+    calls = counted_commutant(monkeypatch)
+    space = double_commutant(gens, n)
+    assert len(calls) == 1
     assert space.dim == dim
+    assert projector_distance(space, dense_double_commutant(gens, n, closure=n <= 12)) <= 1e-12
 
 
-def _orthonormal_basis(*mats):
-    """The Subspace of C^4 whose basis columns are the given orthonormal 2 x 2 matrices."""
-    return Subspace(4, np.array([m.reshape(-1) for m in mats]).T)
+def _basis(*mats):
+    """The Subspace of C^(n^2) whose basis columns are the given n x n matrices."""
+    return Subspace(mats[0].size, np.array([m.reshape(-1) for m in mats]).T)
 
 
 def _merged_clusters():
     # the diagonal algebra of M_2, its basis rotated so that stage 1 sums it to
     # a multiple of the identity: one cluster for two dimensions
-    weights = 1.0 + (np.arange(1, 3) * linalg._GOLDEN) % 1.0
+    weights = linalg._COMPLEX_WEIGHTS[:2].real
     angle = np.pi / 4 - np.arctan2(weights[1], weights[0])
     rot = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
-    return _orthonormal_basis(*(np.diag(col) for col in rot.T)), [np.diag([1.0, 2.0])], 2
+    return _basis(*(np.diag(col) for col in rot.T)), [np.diag([1.0, 2.0])]
+
+
+def _unequal_link():
+    # h = diag(a, a, b, b) and B has the rank-one block E_02 - E_20 between its
+    # two clusters: a link that no scaling makes unitary
+    c = linalg._COMPLEX_WEIGHTS[:2]
+    skew = np.zeros((4, 4))
+    skew[0, 2], skew[2, 0] = 1.0, -1.0
+    return _basis(np.diag([1.0, 1.0, 0.0, 0.0]) + skew / c[0], np.diag([0.0, 0.0, 1.0, 1.0])), []
 
 
 def _not_central():
-    # span{1, E_01}: h = a 1 + b (E_01 + E_10) has two clusters for two
-    # dimensions, but E_01 does not commute with it; with E_10 the dense
-    # second pass leaves the scalars
+    # B_1 and B_2 carry E_01 with weights that cancel in sum_k c_k B_k, so h
+    # and B are diagonal, with two clusters and no link, but B_1 is not
+    c = linalg._COMPLEX_WEIGHTS[:2]
     unit = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return _orthonormal_basis(np.eye(2) / np.sqrt(2), unit), [np.eye(2)], 1
+    return _basis(np.diag([1.0, 0.0]) + unit, np.diag([0.0, 1.0]) - c[0] / c[1] * unit), [np.eye(2)]
 
 
 def _not_contained():
     # the diagonal algebra, with distinct clusters and central, but the
     # generator, the flip, lies off its blocks
-    first = _orthonormal_basis(np.diag([0.6, 0.8]), np.diag([0.8, -0.6]))
-    return first, [np.array([[0.0, 1.0], [1.0, 0.0]])], 2
+    first = _basis(np.diag([0.6, 0.8]), np.diag([0.8, -0.6]))
+    return first, [np.array([[0.0, 1.0], [1.0, 0.0]])]
 
 
-# the first commutant handed to double_commutant, its generators, and the dimension
-# of the dense second pass, with the condition that sends each to that pass
-GUARD_CASES = {"cluster_count": _merged_clusters, "centrality": _not_central,
-               "containment": _not_contained}
+# the first commutant handed to double_commutant and its generators, for the
+# guard that each case fails
+GUARD_CASES = {"cluster_count": _merged_clusters, "link_unitarity": _unequal_link,
+               "centrality": _not_central, "containment": _not_contained}
 
 
 @pytest.mark.parametrize("guard", sorted(GUARD_CASES))
-def test_each_block_form_guard_sends_its_case_to_the_dense_path(monkeypatch, guard):
-    first, gens, dim = GUARD_CASES[guard]()
+def test_each_block_form_guard_raises(monkeypatch, guard):
+    first, gens = GUARD_CASES[guard]()
     passes = []
-    original = linalg.commutant
 
     def patched_first(generators, n, tol):
         passes.append(len(generators))
-        return first if len(passes) == 1 else original(generators, n, tol)
+        return first
 
     monkeypatch.setattr(linalg, "commutant", patched_first)
-    space = double_commutant(gens, 2)
-    assert passes == [len(gens), first.dim]
-    assert space.dim == dim
+    with pytest.raises(LinAlgContractError, match=rf"not certified: {guard} .* above its bound"):
+        double_commutant(gens, math.isqrt(first.ambient_dim))
+    assert passes == [len(gens)]
 
 
 def _skew(rng, n):
@@ -570,14 +606,20 @@ def _rotated_eigh(angle):
 
 @pytest.mark.parametrize("name", ["S3", "Q8"])
 def test_commutant_certification_fails_on_a_rotated_eigenbasis(monkeypatch, name):
+    # eigenvectors rotated by 5e-7 carry a measured residual that no gap of h
+    # can be cut across: stage 1 keeps one cluster, stage 2 runs over all of
+    # M_n and the commutant still matches the stacked oracle.  The double
+    # commutant's certification fails: one cluster cannot hold dim A
     g = builtin_group(name)
     n = g.order
     units = list(np.eye(n)[:, None, :] * np.eye(n)[:, :, None])
     gens = [left_regular(g, x) for x in range(2)] + units
-    assert_matches_oracle(gens, n)
     monkeypatch.setattr(np.linalg, "eigh", _rotated_eigh(5e-7))
-    with pytest.raises(LinAlgContractError, match="eigenvector residual .* smallest split gap"):
-        commutant(gens, n)
+    stage2, _ = _captured_stack(monkeypatch, gens)
+    assert stage2.shape[1] == n * n
+    assert_matches_oracle(gens, n)
+    with pytest.raises(LinAlgContractError, match="cluster_count"):
+        double_commutant(gens, n)
 
 
 def test_commutant_rejects_non_finite_generators():
@@ -623,25 +665,10 @@ def _closure_failure(space, n):
     [[0.0, 1.0, 0.0, 0.0]],  # E_01, whose adjoint E_10 is outside
     [[0.0, 1.0, 1.0, 0.0]],  # the flip, whose square 1 is outside
 ])
-def test_double_commutant_closure_check_matches_pairwise_loop(monkeypatch, span):
-    # the first pass stays real: the commutant of the identity is all of M_2,
-    # which is not commutative, so the second pass and its closure check run;
-    # only the second pass returns the skewed span
+def test_double_commutant_closure_check_matches_pairwise_loop(span):
+    # the dense oracle's batched closure check against the per-pair loop
     skew = Subspace.from_span(span)
-    passes = []
-
-    def second_pass_is_skew(gens, n, tol):
-        passes.append(len(gens))
-        return commutant(gens, n, tol) if len(passes) == 1 else skew
-
-    monkeypatch.setattr(linalg, "commutant", second_pass_is_skew)
-    expected = _closure_failure(skew, 2)
-    if expected is None:
-        assert double_commutant([np.eye(2)], 2) is skew
-    else:
-        with pytest.raises(LinAlgContractError, match=f"not closed under {expected}"):
-            double_commutant([np.eye(2)], 2)
-    assert passes == [1, 4]  # the identity, then a basis of M_2
+    assert closure_failure(skew, 2) == _closure_failure(skew, 2)
 
 
 def test_psd_factorize_identity():

@@ -4,8 +4,8 @@ Every rank decision in the package goes through one rank-revealing
 decomposition (SVD, or Hermitian eigendecomposition for PSD tests) with the
 threshold rank_tol * largest singular value.  Each matrix is decomposed in
 the field its entries live in (_in_field): one whose imaginary part is
-exactly zero goes to float64 LAPACK, any other to complex128.  No tolerance
-is applied to the imaginary part, and every Subspace basis is complex128.
+exactly zero goes to float64 LAPACK, any other to complex128.  Only stage 1
+drops an imaginary part (one below eps ||h||); every Subspace is complex128.
 Matrices embedded as ambient vectors are always vectorized row-major.  The
 order cap, the PSD test and the cutoff that decides sigma(x) = 1 live here
 once each.  Subspaces are compared from their bases, never their projectors.
@@ -14,21 +14,17 @@ A commutant is found in two stages.  Stage 1 splits the spectrum of one
 Hermitian element h of the generated algebra into clusters; that split is
 the one eigenvalue decision outside _rank, and it can only enlarge the
 space searched: a gap is cut only when it is wider than diagonal_cutoff and
-than what the measured eigenvector residual of h can leak across it, and
-any commutant element lies in the blocks the cuts leave.  Stage 2 makes the
-rank decision, one null space over those blocks with every generator
-imposed.  Each result is certified before it is returned: its commutator
-with every generator and adjoint is at most eq_tol * max(1, scale), or
-LinAlgContractError gives the residual and that bound.
+than what the measured eigenvector residual of h can leak across it.
+Stage 2 makes the rank decision, one null space over the blocks the cuts
+leave, with every generator imposed.  Each result is certified: its
+commutator with every generator and adjoint is at most eq_tol * max(1,
+scale), or LinAlgContractError gives the residual and that bound.
 
-A double commutant is read off stage 1 on a basis of the first commutant A,
-with complex weights, with no second commutant (Maehara and Murota, 2010):
-the clusters are the irreducible modules of A', a second element of A links
-the clusters of each isotypic component, and A' is spanned by the matrix
-units carried through those links.  Four guards certify it (the links'
-unitarity, the cluster count, A's form in the frames and the generators'
-containment); the first that fails raises LinAlgContractError with its
-value and bound, and nothing falls back.
+A double commutant is read off stage 1 on a basis of the first commutant A
+(Maehara and Murota, 2010): the clusters are the irreducible modules of A',
+a second element of A links the clusters of each isotypic component, and A'
+is spanned by the matrix units carried through the links.  Four guards
+certify it, raising LinAlgContractError with a value and bound; no fallback.
 """
 
 from __future__ import annotations
@@ -40,8 +36,6 @@ import numpy as np
 
 # |G|^4 work: commutator stacks, dense superoperators, the doubled space
 SUPEROP_CAP = 24
-# 1 + frac(k * ratio) spreads stage 1's weights: the golden ratio gives the
-# real parts, the silver ratio the imaginary parts of double_commutant's
 _GOLDEN, _SILVER = (1 + math.sqrt(5)) / 2, 1 + math.sqrt(2)
 
 
@@ -207,7 +201,7 @@ def inclusion_residual(a: Subspace, b: Subspace) -> float:
 # commutants
 
 def _weights(count: int, ratio: float = _GOLDEN) -> np.ndarray:
-    """1 + frac(k * ratio) for k = 1..count."""
+    """1 + frac(k * ratio) for k = 1..count; _SILVER gives imaginary parts."""
     return 1.0 + (np.arange(1, count + 1) * ratio) % 1.0
 
 
@@ -223,13 +217,16 @@ def _stage_one(stack: np.ndarray, weights: np.ndarray,
     of the kept span across a split at gap g, and stage 2 still keeps it when
     8 sqrt(K) r / g <= rank_tol for K generators.  So a gap is cut only when it
     is wider than diagonal_cutoff and than 8 sqrt(K) r / rank_tol, with r the
-    measured ||hU - U diag(w)||_F floored at eps ||h|| for the rounding in r.
+    measured ||hU - U diag(w)||_F floored at eps ||h|| for the rounding in r;
+    the 2 r / g a cut moves stays in commutant's result.
     """
     half = (weights @ stack.reshape(len(stack), -1)).reshape(stack.shape[1:])
-    herm = _in_field(half + half.conj().T)
+    herm, eps = half + half.conj().T, np.finfo(float).eps
+    # an imaginary part below eps ||h|| is rounding: a symmetric stack stays real
+    if np.iscomplexobj(herm) and np.abs(herm.imag).max() <= eps * np.abs(herm).max():
+        herm = herm.real
     w, u = np.linalg.eigh(herm)
-    norm = float(max(-w[0], w[-1]))  # w ascends
-    resid = max(float(np.linalg.norm(herm @ u - u * w)), np.finfo(float).eps * norm)
+    resid = max(float(np.linalg.norm(herm @ u - u * w)), eps * max(-w[0], w[-1]))  # w ascends
     leak = 8 * math.sqrt(len(stack)) / tol.rank_tol
     split = np.diff(w) > max(diagonal_cutoff(w, tol), leak * resid)
     return u, np.concatenate([[0], np.cumsum(split)])
@@ -239,17 +236,16 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
     """{X : XA = AX and XA* = A*X for all generators A} as vectorized matrices.
 
     Adjoints not already in the list are appended, so the result is a
-    *-algebra.  Stage 1 takes one Hermitian element h = sum_k c_k (A_k + A_k*)
-    of the generated algebra, with real weights c_k = 1 + frac(k * golden
-    ratio), and its eigenbasis U.  Every X in the commutant commutes with h's
-    spectral projections, so U* X U lies in the span of the E_ij whose
-    eigenvalues i and j share a cluster.  Stage 2 is the null space, at the
-    generator scale, of the commutators with every U* A U over that span,
-    rotated back by U.  Each basis element must commute with each generator
-    within eq_tol * max(1, scale), or LinAlgContractError is raised.  An empty
-    list needs ``n`` and yields the full space.  Matrices above SUPEROP_CAP
-    raise SizeCapError before anything is allocated.  Every decomposition is
-    float64 when every generator is real.
+    *-algebra.  Stage 1 takes h = sum_k c_k (A_k + A_k*) with real weights
+    c_k = 1 + frac(k * golden ratio) and its eigenbasis U; every X in the
+    commutant commutes with h's spectral projections, so U* X U lies in the
+    span of the E_ij whose eigenvalues i and j share a cluster.  Stage 2 is
+    the null space, at the generator scale, of the commutators with every
+    U* A U over that span, rotated back by U.  Each basis element must commute
+    with each generator within eq_tol * max(1, scale), or LinAlgContractError
+    is raised.  An empty list needs ``n`` and yields the full space; above
+    SUPEROP_CAP, SizeCapError comes before any allocation.  Every
+    decomposition is float64 when every generator is real.
     """
     gens = [np.asarray(g) for g in generators]
     if not gens and n is None:
@@ -316,20 +312,19 @@ def double_commutant(generators, n: int | None = None,
     Up to a unitary, A is a sum of components M_m (x) 1_d and A' the sum of
     the 1_m (x) M_d.  With complex weights c_k, h = sum_k (c_k B_k + conj(c_k)
     B_k*) is generic: each component gives m clusters of d eigenvectors, one
-    irreducible module of A' each (real weights leave the two clusters of a
-    quaternionic component merged, as on Q8).  In h's eigenbasis U the block
-    U_i* B U_j of B = sum_k c_k B_k, a link, is a nonzero multiple of a
-    unitary when clusters i and j share a component and zero otherwise.
-    Cluster j takes the frame V_j = U_j T_j*, T_j its link from the first
-    cluster of its component scaled to a unitary, and A' is spanned by
-    sum_j V_j E_ab V_j* over each component.  A commutative A has no links.
+    irreducible module of A' each (real weights leave Q8's quaternionic pair
+    merged).  Each cluster's spectral projection lies in A; U becomes the
+    nearest unitary to the projections onto A applied to its columns, so a
+    gap g costs second order in eps ||h|| / g.  The link U_i* B U_j, B =
+    sum_k c_k B_k, is a multiple of a unitary when clusters i and j share a
+    component and zero otherwise.  Cluster j takes the frame V_j = U_j T_j*,
+    T_j the polar factor of its link from its component's first cluster, and
+    A' is spanned by sum_j V_j E_ab V_j* over each component.
 
     Guards, each raising LinAlgContractError with its value and bound:
-    link_unitarity, every scaled link unitary within eq_tol; cluster_count,
-    dim A = sum m^2; centrality, every B_k within eq_tol of its form S (x) 1_d
-    in the frames, so A is the commutant of the result, of dimension sum m^2;
-    containment, every generator within eq_tol * max(1, largest generator
-    norm) of the result.
+    link_unitarity (each scaled link unitary within eq_tol), cluster_count
+    (dim A = sum m^2), centrality (each B_k within eq_tol of S (x) 1_d in the
+    frames) and containment (each generator within eq_tol * max(1, scale)).
     """
     generators = [np.asarray(g) for g in generators]
     first = commutant(generators, n, tol)
@@ -339,6 +334,10 @@ def double_commutant(generators, n: int | None = None,
     u, cluster = _stage_one(basis, weights, tol)
     sizes = np.bincount(cluster)
     starts = np.cumsum(sizes) - sizes
+    # U_c U_c* projected onto A is sum_k conj(tr(U_c* B_k U_c)) B_k
+    bu = basis @ u
+    traces = np.add.reduceat((u.conj() * bu).sum(axis=1), starts, axis=1)
+    u = np.matmul(*np.linalg.svd(np.einsum("ka,kia->ia", traces.conj()[:, cluster], bu))[::2])
     inbasis = u.conj().T @ basis @ u
 
     # cluster i joins the component of the first cluster j with U_i* B U_j nonzero
@@ -358,6 +357,7 @@ def double_commutant(generators, n: int | None = None,
         link *= math.sqrt(len(link)) / np.linalg.norm(link)
         _certify("link_unitarity", float(np.linalg.norm(
             link.conj().T @ link - np.eye(link.shape[1]))), tol.eq_tol)
+        link = np.matmul(*np.linalg.svd(link)[::2])  # its polar factor
         frames[:, at] = frames[:, at] @ link.conj().T
         inframe[:, at] = link @ inframe[:, at]
         inframe[:, :, at] = inframe[:, :, at] @ link.conj().T

@@ -426,12 +426,20 @@ def closure_failure(space, n, tol: Tolerances = DEFAULT_TOL):
     return None
 
 
+# the oracle's second pass takes rank_tol 1e-11: its stage-1 leak factor is
+# 100x the default's, so it cuts only gaps where the 2 r / g a cut costs is
+# far below 1e-12.  At the default rank_tol, commutant's second pass lies
+# 1.1e-11 from the stripe span on one S4 subgroup (|L| = 8)
+ORACLE_TOL = Tolerances(rank_tol=1e-11)
+
+
 def dense_double_commutant(generators, n, closure=True) -> Subspace:
     """The oracle: the dense second pass, a commutant of a basis of the first
-    commutant, and with ``closure`` the check that its basis is closed under
-    adjoints and pairwise products."""
+    commutant (the same first commutant that double_commutant reads), and
+    with ``closure`` the check that its basis is closed under adjoints and
+    pairwise products."""
     first = commutant(generators, n)
-    second = commutant(list(first.basis.T.reshape(-1, n, n)), n)
+    second = commutant(list(first.basis.T.reshape(-1, n, n)), n, ORACLE_TOL)
     assert not closure or closure_failure(second, n) is None
     return second
 
@@ -441,10 +449,7 @@ def test_block_form_matches_the_dense_second_pass_on_every_subgroup(monkeypatch,
     # one commutant call on every subgroup, S4's with coset values of h as
     # close as 1.3e-4 ||h|| included.  The oracle checks closure up to order
     # 12 only: at order 24 the pairwise products of a 576-dimensional basis
-    # take seconds per subgroup.  At order 24 the oracle's own split on the
-    # first commutant's basis crosses gaps down to 7e-3 ||h||, and on one S4
-    # subgroup (|L| = 8) it lies 1.1e-11 from the stripe span, where the block
-    # form lies 9e-13 from it
+    # take seconds per subgroup
     g = builtin_group(name)
     n = g.order
     calls = counted_commutant(monkeypatch)
@@ -455,7 +460,7 @@ def test_block_form_matches_the_dense_second_pass_on_every_subgroup(monkeypatch,
         assert len(calls) == 1
         dense = dense_double_commutant(gens, n, closure=n <= 12)
         assert block.dim == dense.dim == n * len(sub)
-        assert projector_distance(block, dense) <= (1e-12 if n <= 12 else 2e-11)
+        assert projector_distance(block, dense) <= 1e-12
 
 
 @pytest.mark.parametrize("case", ["S3", "Q8", "D4", "D6", "S4", "D12", "empty"])
@@ -472,6 +477,8 @@ def test_a_non_commutative_first_commutant_takes_the_linked_block_form(monkeypat
     space = double_commutant(gens, n)
     assert len(calls) == 1
     assert space.dim == dim
+    # the frames are polar factors, so the basis is orthonormal to rounding
+    assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(dim)) <= 1e-13
     assert projector_distance(space, dense_double_commutant(gens, n, closure=n <= 12)) <= 1e-12
 
 
@@ -490,20 +497,24 @@ def _merged_clusters():
 
 
 def _unequal_link():
-    # h = diag(a, a, b, b) and B has the rank-one block E_02 - E_20 between its
-    # two clusters: a link that no scaling makes unitary
-    c = linalg._COMPLEX_WEIGHTS[:2]
+    # h = diag(a, a, b, b), and B = sum_k c_k B_k has the rank-one block E_02 -
+    # E_20 between its two clusters: a link that no scaling makes unitary.  B_3
+    # has zero trace on each cluster, so projecting the clusters onto the span
+    # leaves them as they are
+    c = linalg._COMPLEX_WEIGHTS[:3]
     skew = np.zeros((4, 4))
     skew[0, 2], skew[2, 0] = 1.0, -1.0
-    return _basis(np.diag([1.0, 1.0, 0.0, 0.0]) + skew / c[0], np.diag([0.0, 0.0, 1.0, 1.0])), []
+    return _basis(np.diag([1.0, 1.0, 0.0, 0.0]), np.diag([0.0, 0.0, 1.0, 1.0]), skew / c[2]), []
 
 
 def _not_central():
     # B_1 and B_2 carry E_01 with weights that cancel in sum_k c_k B_k, so h
-    # and B are diagonal, with two clusters and no link, but B_1 is not
+    # and B are diagonal, with two clusters and no link, but B_1 is not.  With
+    # B_k[1, 1] = conj(c_k), the E_01 parts cancel in the projection of the
+    # second cluster onto the span too, so the clusters stay as they are
     c = linalg._COMPLEX_WEIGHTS[:2]
-    unit = np.array([[0.0, 1.0], [0.0, 0.0]])
-    return _basis(np.diag([1.0, 0.0]) + unit, np.diag([0.0, 1.0]) - c[0] / c[1] * unit), [np.eye(2)]
+    return _basis(np.array([[1.0, 1.0], [0.0, c[0].conjugate()]]),
+                  np.array([[0.0, -c[0] / c[1]], [0.0, c[1].conjugate()]])), [np.eye(2)]
 
 
 def _not_contained():
@@ -532,6 +543,20 @@ def test_each_block_form_guard_raises(monkeypatch, guard):
     with pytest.raises(LinAlgContractError, match=rf"not certified: {guard} .* above its bound"):
         double_commutant(gens, math.isqrt(first.ambient_dim))
     assert passes == [len(gens)]
+
+
+def test_frames_stay_unitary_when_a_link_is_not(monkeypatch):
+    # A = M_2 (x) 1_2 with its basis perturbed by 1e-10: each link is unitary
+    # only to about 1e-10, inside the link_unitarity guard, and its polar
+    # factor still keeps the result's basis orthonormal to rounding
+    rng = np.random.default_rng(5)
+    units = [np.kron(np.outer(np.eye(2)[i], np.eye(2)[j]), np.eye(2)) / np.sqrt(2)
+             for i in range(2) for j in range(2)]
+    first = _basis(*(m + 1e-10 * rng.standard_normal((4, 4)) for m in units))
+    monkeypatch.setattr(linalg, "commutant", lambda generators, n, tol: first)
+    space = double_commutant([], 4)
+    assert space.dim == 4
+    assert np.linalg.norm(space.basis.conj().T @ space.basis - np.eye(4)) <= 1e-13
 
 
 def _skew(rng, n):

@@ -22,6 +22,8 @@ from .linalg import (
     DEFAULT_TOL,
     Subspace,
     Tolerances,
+    _in_field,
+    check_cap,
     commutant,
     diagonal_cutoff,
     double_commutant,
@@ -36,19 +38,37 @@ from .actions import (
     bullet,
     displacement_table,
     left_regular,
+    stripe_index,
     theta_hat,
 )
 
 
-def _map_scale(mat: np.ndarray) -> float:
-    """Reference norm for maps compared against the identity."""
-    return max(1.0, float(np.abs(mat).sum(axis=1).max()))
+def _map_scale(sigma, mu: np.ndarray) -> float:
+    """max(1, max|sigma| sum|mu|), the largest absolute row sum of sigma(x) R
+    (Superoperator) and, for sigma = 1, of convolution by mu: the reference
+    norm for maps compared against the identity."""
+    return max(1.0, float(np.abs(sigma).max() * np.abs(mu).sum()))
+
+
+def _stripe_solve(phi: Superoperator, tol: Tolerances, kernel: bool) -> Subspace:
+    """The null space (kernel) or the range of phi - id: on the stripe S_x it
+    is the block sigma(x) R - I (Superoperator).  One batched SVD of the n
+    blocks cuts at rank_tol * _map_scale, the largest absolute row sum of
+    the dense map, and each kept vector is scattered into its stripe."""
+    n = phi.group.order
+    check_cap(n, "fixed-point and pre-annihilator bases")
+    u, s, vh = np.linalg.svd(_in_field(phi.sigma[:, None, None] * phi.stripe_block() - np.eye(n)))
+    cut = tol.rank_tol * _map_scale(phi.sigma, phi.mu)
+    vectors, keep = (vh.conj().swapaxes(1, 2), s <= cut) if kernel else (u, s > cut)
+    stripe, col = keep.nonzero()
+    basis = np.zeros((n * n, len(stripe)), dtype=complex)
+    basis[stripe_index(phi.group)[stripe].T, np.arange(len(stripe))] = vectors[stripe, :, col].T
+    return Subspace(n * n, basis)
 
 
 def fixed_points(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Fixed vectors of the superoperator over vectorized matrices."""
-    dense = phi.dense()
-    return null_space(dense - np.eye(dense.shape[0]), tol, scale=_map_scale(dense))
+    return _stripe_solve(phi, tol, kernel=True)
 
 
 def harmonic_functions(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -57,17 +77,15 @@ def harmonic_functions(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     if not mu.is_probability(tol):
         raise ValueError("harmonic functions are defined for probability measures")
     c_mat = convolution_matrix(mu)
-    return null_space(c_mat - np.eye(mu.group.order), tol, scale=_map_scale(c_mat))
+    return null_space(c_mat - np.eye(mu.group.order), tol, scale=_map_scale(1.0, mu.weights))
 
 
 def harmonic_functionals(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """Fixed points of the canonical multiplier action inside the span of the
     left translations: span{lambda(x) : sigma(x) = 1}, vectorized.  The lambda(x)
     have disjoint supports, so the vec(lambda(x)) / sqrt(n) are orthonormal."""
-    g = sigma.group
-    n = g.order
-    level = np.array(sorted(level_set_one(sigma, tol)), dtype=np.intp)
-    return _indicator_span(n * n, g.table[level] * n + np.arange(n))
+    level = sorted(level_set_one(sigma, tol))
+    return _indicator_span(sigma.group.order ** 2, stripe_index(sigma.group)[level])
 
 
 def harmonic_operators(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Subspace:
@@ -84,11 +102,6 @@ def _indicator_span(ambient_dim: int, index_sets: np.ndarray) -> Subspace:
     return Subspace(ambient_dim, basis)
 
 
-def _coordinate_span(mask: np.ndarray) -> Subspace:
-    """span{E_ab : mask[a, b]}, with basis columns in row-major order."""
-    return _indicator_span(mask.size, np.flatnonzero(mask)[:, None])
-
-
 def _subgroup_generators(group: GroupTable, members) -> list[np.ndarray]:
     """lambda(h) for each member and one multiplication operator of norm 1
     with distinct values, whose spectral projections E_aa span L^inf(G)."""
@@ -97,9 +110,7 @@ def _subgroup_generators(group: GroupTable, members) -> list[np.ndarray]:
 
 def _stripe_span(group: GroupTable, level) -> Subspace:
     """span{E_ab : a b^-1 in level}: operators supported on the level set."""
-    marks = np.zeros(group.order, dtype=bool)
-    marks[list(level)] = True
-    return _coordinate_span(marks[displacement_table(group)])
+    return _indicator_span(group.order ** 2, stripe_index(group)[list(level)].reshape(-1, 1))
 
 
 def _bimodule_span(group: GroupTable, level, tol: Tolerances) -> Subspace:
@@ -142,7 +153,7 @@ class HarmonicReport:
 def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> HarmonicReport:
     """Compare three independent routes to the sigma-harmonic operators.
 
-    (A) fixed points of the multiplier action, as a dense null space;
+    (A) fixed points of the multiplier action, a null space stripe by stripe;
     (B) the von Neumann algebra generated by the fixed left translations and
         one diagonal with distinct values, via the double-commutant engine;
     (C) the span of the matrix units supported on the level set of sigma.
@@ -160,11 +171,7 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> 
     stripe = _stripe_span(g, level)
     if p1:
         algebra = double_commutant(_subgroup_generators(g, level), n, tol)
-        dims = {
-            "fixed_points": fixed.dim,
-            "generated_algebra": algebra.dim,
-            "stripe_span": stripe.dim,
-        }
+        dims = {"fixed_points": fixed.dim, "generated_algebra": algebra.dim, "stripe_span": stripe.dim}
         distances = {
             "fixed_vs_algebra": projector_distance(fixed, algebra),
             "fixed_vs_stripe": projector_distance(fixed, stripe),
@@ -173,11 +180,7 @@ def verify_main_theorem(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> 
         expected = n * len(level)
     else:
         span = _bimodule_span(g, level, tol)
-        dims = {
-            "fixed_points": fixed.dim,
-            "bimodule_span": span.dim,
-            "stripe_span": stripe.dim,
-        }
+        dims = {"fixed_points": fixed.dim, "bimodule_span": span.dim, "stripe_span": stripe.dim}
         distances = {
             "span_in_fixed": inclusion_residual(span, fixed),
             "fixed_in_stripe": inclusion_residual(fixed, stripe),
@@ -216,31 +219,26 @@ def limit_product(a, b, mu: Measure, tol: Tolerances = DEFAULT_TOL) -> GroupFunc
         raise ValueError("limit products are defined for probability measures")
     g = mu.group
     cosets = np.array(generated_subgroup(g, mu.support(tol)).left_cosets())
-
-    def average(values: np.ndarray) -> np.ndarray:
-        out = np.empty_like(values)
-        out[..., cosets] = values[..., cosets].mean(axis=-1, keepdims=True)
-        return out
-
     on_functions = isinstance(a, GroupFunction)
     if on_functions != isinstance(b, GroupFunction):
         raise ValueError("limit_product takes two GroupFunctions or two operators, not one of each")
     if on_functions:
         if not (same_group(a.group, g) and same_group(b.group, g)):
             raise ValueError("functions and measure live on different groups")
-        project = average
+        blocks = cosets
         factors = (a.values, b.values)
         product = a.values * b.values
     else:
-        stripes = (g.table, np.arange(g.order))  # T[stripes][x, b] = T[x b, b]
-
-        def project(t_mat: np.ndarray) -> np.ndarray:
-            out = np.empty_like(t_mat)
-            out[stripes] = average(t_mat[stripes])
-            return out
-
+        blocks = stripe_index(g)[:, cosets]  # each coset of each stripe row b -> T[x b, b]
         factors = (_operator(g, a), _operator(g, b))
         product = factors[0] @ factors[1]
+
+    def project(values: np.ndarray) -> np.ndarray:
+        """The mean over each block of flat indices."""
+        out = np.empty(values.size, dtype=complex)
+        out[blocks] = values.reshape(-1)[blocks].mean(axis=-1, keepdims=True)
+        return out.reshape(values.shape)
+
     for name, f in zip(("first", "second"), factors):
         if np.abs(project(f) - f).max() > tol.eq_tol:
             warnings.warn(f"{name} factor is not harmonic for this measure")
@@ -254,8 +252,7 @@ def limit_product(a, b, mu: Measure, tol: Tolerances = DEFAULT_TOL) -> GroupFunc
 def pre_annihilator_ideal(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> Subspace:
     """range(pre_adjoint(phi) - id): the trace-class elements annihilating the
     fixed points; dimensions are complementary to fixed_points(phi)."""
-    dense = phi.pre_adjoint().dense()
-    return range_space(dense - np.eye(dense.shape[0]), tol, scale=_map_scale(dense))
+    return _stripe_solve(phi.pre_adjoint(), tol, kernel=False)
 
 
 def bullet_closure_residual(group: GroupTable, ideal: Subspace,
@@ -271,8 +268,7 @@ def bullet_closure_residual(group: GroupTable, ideal: Subspace,
     if ideal.dim == 0:
         return 0.0
     n, basis = group.order, ideal.basis
-    # row x: the flat indices of the stripe S_x
-    stripes = np.argsort(displacement_table(group), axis=None, kind="stable").reshape(n, n)
+    stripes = stripe_index(group)  # row x: the flat indices of the stripe S_x
     stripe_sums = np.abs(basis[stripes].sum(axis=1)).max(axis=1)
     residual = 0.0
     for cols, stripe_sum in zip(stripes, stripe_sums):
@@ -286,11 +282,13 @@ def bullet_closure_residual(group: GroupTable, ideal: Subspace,
 
 def _schur_masks(action: Superoperator, tol: Tolerances) -> tuple[np.ndarray, np.ndarray]:
     """The pre-annihilator |m^T - 1| > c and the fixed points |m - 1| <= c of
-    a Schur map with mask m, as boolean masks over the matrix units, at the
-    cutoff c = diagonal_cutoff(m) that the SVD route applies to the dense map,
-    which is diagonal."""
-    cut = diagonal_cutoff(action.mask, tol)
-    return np.abs(action.pre_adjoint().mask - 1.0) > cut, np.abs(action.mask - 1.0) <= cut
+    theta_hat(sigma), whose mask is m[a, b] = sigma(a b^-1), as boolean masks
+    over the matrix units, at the cutoff c = diagonal_cutoff(sigma) that the
+    SVD route applies to its blocks, which are the scalars sigma(x)."""
+    disp = displacement_table(action.group)
+    cut = diagonal_cutoff(action.sigma, tol)
+    return (np.abs(action.pre_adjoint().sigma[disp] - 1.0) > cut,
+            np.abs(action.sigma[disp] - 1.0) <= cut)
 
 
 def _stripe_cut(group: GroupTable, mask: np.ndarray) -> float:
@@ -338,16 +336,15 @@ class IdealSuiteReport:
     def passed(self) -> bool:
         """worst_residual <= eq_tol: the dimension complement and every residual.
 
-        On a Schur mask three of these hold by construction and cannot fail:
-        the dimension complement (the ideal and the fixed points are
-        complementary masks up to a transpose), perp in traceless (the
-        zero-diagonal mask misses the diagonal) and perp closure (the
-        diagonal is the stripe of e).  The others can: orthogonality on a
-        pre-adjoint that is not the transposed mask, ideal closure on a mask
-        that is not constant on stripes, and the quotient on a wrong pi.
-        Ideal in perp fails only on a pre-adjoint whose diagonal is not the
-        mask's, since sigma(e) = 1 is read off the fixed mask at the same
-        cutoff as the ideal."""
+        Four hold by construction and cannot fail: the dimension complement
+        (the ideal and the fixed points are complementary masks up to a
+        transpose), perp in traceless (the zero-diagonal mask misses the
+        diagonal), perp closure (the diagonal is the stripe of e) and ideal
+        closure (sigma(a b^-1) is constant on stripes, so the ideal cuts one
+        only through a fault in _schur_masks).  The others can: orthogonality
+        on a pre-adjoint that does not invert sigma, and the quotient on a
+        wrong pi.  Ideal in perp fails only on a pre-adjoint that moves
+        sigma(e), which is read off the fixed mask at the ideal's cutoff."""
         return self.worst_residual <= self.eq_tol
 
 
@@ -362,7 +359,7 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     f . g = <f, 1> g on diagonal representatives.
 
     The action is a Schur map, so the ideal, the fixed points and the zero
-    diagonal are coordinate spans, read off its mask and its pre-adjoint's as
+    diagonal are coordinate spans, read off sigma and its pre-adjoint's as
     boolean n x n masks (_schur_masks), and the traceless elements are the
     complement of vec(I).  Every residual is then a count: the pairing of
     the ideal with the transposed fixed points, sqrt(#(ideal on the
@@ -370,8 +367,8 @@ def linfty_perp_suite(sigma: GroupFunction, tol: Tolerances = DEFAULT_TOL) -> Id
     closure (_stripe_cut).  bullet is entrywise in rho and the E_gg have
     disjoint supports, so the quotient checks every pair E_ff . E_gg in one
     product E_ff . I against Tr(E_ff) I.  Nothing larger than n^3 entries is
-    formed, so the suite has no size cap of its own.
-    IdealSuiteReport.passed says which of these checks can fail.
+    formed, so the suite has no size cap of its own.  IdealSuiteReport.passed
+    says which of these checks can fail.
     """
     g = sigma.group
     n = g.order
@@ -446,4 +443,4 @@ def willis_ideal(mu: Measure, tol: Tolerances = DEFAULT_TOL) -> Subspace:
         raise ValueError("the ideal is defined for probability measures")
     n = mu.group.order
     c_mat = convolution_matrix(mu)
-    return range_space(np.eye(n) - c_mat.T, tol, scale=_map_scale(c_mat))
+    return range_space(np.eye(n) - c_mat.T, tol, scale=_map_scale(1.0, mu.weights))

@@ -3,7 +3,7 @@ the tests."""
 
 import numpy as np
 
-from harmop.linalg import DEFAULT_TOL
+from harmop.linalg import DEFAULT_TOL, Subspace
 
 
 def projector(space) -> np.ndarray:
@@ -17,3 +17,10 @@ def in_span(space, v) -> bool:
     v = np.asarray(v, dtype=complex).reshape(-1, 1)
     norm = np.linalg.norm(v)
     return norm == 0 or space.residuals(v)[0] <= DEFAULT_TOL.eq_tol * max(1.0, norm)
+
+
+def coordinate_span(mask) -> Subspace:
+    """span{E_ab : mask[a, b]}, with basis columns in row-major order."""
+    mask = np.asarray(mask, dtype=bool)
+    basis = np.eye(mask.size)[:, np.flatnonzero(mask)]
+    return Subspace(mask.size, basis)

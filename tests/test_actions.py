@@ -248,7 +248,7 @@ def test_theta_hat_scales_multiplication_operators_in_general():
 
 def test_dense_materialization_capped():
     big = cyclic_group(30)
-    phi = Superoperator(big, "schur", mask=np.ones((30, 30)))
+    phi = theta_hat(constant_function(big))
     with pytest.raises(SizeCapError):
         phi.dense()
     t_mat = np.eye(30)
@@ -318,17 +318,18 @@ def test_transpose_index_and_dense_pre_adjoint():
     assert np.array_equal(x.reshape(-1)[transpose_index(6)], x.T.reshape(-1))
     swap = np.eye(36)[transpose_index(6)]
     mu = Measure(S3, rng.random(6) + 1j * rng.random(6))
-    for phi in (theta_hat(_rand_fn(S3, rng)), theta(mu)):
+    sigma = _rand_fn(S3, rng)
+    for phi in (theta_hat(sigma), theta(mu), Superoperator(S3, sigma.values, mu.weights)):
         # the pre-adjoint for the trace pairing is the transpose conjugated by the swap
         assert np.array_equal(phi.pre_adjoint().dense(), swap @ phi.dense().T @ swap)
     assert np.array_equal(flip_unitary(S3), swap)
-    with pytest.raises(ValueError):
-        Superoperator(S3, "dense")
+    with pytest.raises(ValueError, match="6 values each"):
+        Superoperator(S3, np.ones(5), mu.weights)
 
 
 def test_pre_adjoint_of_identity():
     rng = np.random.default_rng(15)
-    ident = Superoperator(Z4, "schur", mask=np.ones((4, 4)))
+    ident = Superoperator(Z4, np.ones(4), np.eye(4)[Z4.identity])
     t_mat = _rand(Z4, rng)
     assert np.abs(ident.pre_adjoint().apply(t_mat) - t_mat).max() == 0.0
 
@@ -338,7 +339,9 @@ def test_pre_adjoint_of_schur_mask_is_transpose():
     sigma = _rand_fn(S3, rng)
     star = theta_hat(sigma).pre_adjoint()
     assert star.kind == "schur"
-    assert np.abs(star.mask - schur_mask(sigma).T).max() == 0.0
+    assert np.array_equal(schur_mask(GroupFunction(S3, star.sigma)), schur_mask(sigma).T)
+    t_mat = _rand(S3, rng)
+    assert np.array_equal(star.apply(t_mat), schur_mask(sigma).T * t_mat)
 
 
 def test_pre_adjoint_duality_all_kinds():
@@ -502,7 +505,7 @@ DOUBLED_SPACE_ENTRY_POINTS = {
     "fundamental_unitary": lambda m: fundamental_unitary(Z25),
     "dual_unitary": lambda m: dual_unitary(Z25),
     "flip_unitary": lambda m: flip_unitary(Z25),
-    "Superoperator.dense": lambda m: Superoperator(Z25, "schur", mask=m).dense(),
+    "Superoperator.dense": lambda m: theta_hat(constant_function(Z25)).dense(),
     "commutant": lambda m: commutant([m]),
 }
 

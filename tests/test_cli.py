@@ -25,6 +25,7 @@ from harmop.functions import constant_function, function_to_json, indicator_func
 from harmop.functions import GroupFunction, Measure
 from harmop.generators import random_positive_definite
 from harmop.harmonic import HarmonicReport, verify_main_theorem
+from harmop.actions import Superoperator
 from harmop.linalg import Subspace
 from test_groups import intercalate_swapped
 
@@ -563,6 +564,18 @@ def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
     monkeypatch.setattr(support, "null_space", lambda mat, tol: skew)
     with pytest.raises(LinAlgContractError):
         support.annihilator_ideal(cyclic_group(4), t_mat)
+
+
+@pytest.mark.parametrize("command", ["fixed-points", "verify"])
+def test_fixed_point_commands_form_no_dense_superoperator(command, monkeypatch, capsys):
+    """Fixed points and pre-annihilators are found stripe by stripe, so
+    neither command materializes an n^2 x n^2 superoperator."""
+    def refuse(self):
+        raise AssertionError("a dense superoperator was formed")
+
+    monkeypatch.setattr(Superoperator, "dense", refuse)
+    assert main([command, "--group", "S4", "--count", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["failed"] == 0
 
 
 @pytest.mark.parametrize("command", ["verify", "fixed-points"])

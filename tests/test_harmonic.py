@@ -33,8 +33,9 @@ from harmop.linalg import (
     inclusion_residual,
     null_space,
     projector_distance,
+    range_space,
 )
-from harmop import actions, harmonic, linalg
+from harmop import actions, functions, harmonic, linalg
 from harmop.actions import (
     Superoperator,
     bullet,
@@ -70,7 +71,7 @@ from harmop.generators import (
     random_unit_at_identity,
 )
 
-from spans import in_span, projector
+from spans import coordinate_span, in_span, projector
 from test_actions import right_regular, trace_pairing
 from test_linalg import counted_commutant
 
@@ -91,7 +92,7 @@ def _diag_span(n):
 # fixed points
 
 def test_fixed_points_of_identity():
-    ident = Superoperator(Z4, "schur", mask=np.ones((4, 4)))
+    ident = Superoperator(Z4, np.ones(4), np.eye(4)[Z4.identity])
     assert fixed_points(ident).dim == 16
 
 
@@ -113,6 +114,74 @@ def test_fixed_points_of_uniform_convolution_action_z2():
     oracle = Subspace(4, kernel)
     assert space.dim == 2
     assert projector_distance(space, oracle) <= 1e-8
+
+
+def _dense_map_scale(dense):
+    """The largest absolute row sum of a dense map, at least 1."""
+    return max(1.0, float(np.abs(dense).sum(axis=1).max()))
+
+
+def dense_fixed_points(phi, tol=DEFAULT_TOL):
+    """Reference for fixed_points: the null space of the n^2 x n^2 map minus
+    the identity."""
+    dense = phi.dense()
+    return null_space(dense - np.eye(dense.shape[0]), tol, scale=_dense_map_scale(dense))
+
+
+def dense_pre_annihilator(phi, tol=DEFAULT_TOL):
+    """Reference for pre_annihilator_ideal: the range of the dense pre-adjoint
+    minus the identity."""
+    dense = phi.pre_adjoint().dense()
+    return range_space(dense - np.eye(dense.shape[0]), tol, scale=_dense_map_scale(dense))
+
+
+def _oracle_maps(g, rng):
+    """theta(mu) for adapted, non-adapted and complex mu, theta_hat(sigma)
+    for positive definite, generic and point-mass sigma, and one composite
+    whose sigma is 1 on the subgroup that supp mu generates."""
+    [nonadapted] = random_nonadapted_measures(g, rng, 1)
+    weights = rng.random(g.order) + 1j * rng.random(g.order)
+    level = generated_subgroup(g, nonadapted.support()).members
+    pinned = random_unit_at_identity(g, rng, level_set=level)
+    return {
+        "theta(adapted)": theta(random_adapted_measure(g, rng)),
+        "theta(nonadapted)": theta(nonadapted),
+        "theta(complex)": theta(Measure(g, weights / weights.sum())),
+        "theta_hat(pd)": theta_hat(random_positive_definite(g, rng)),
+        "theta_hat(nonpd)": theta_hat(random_unit_at_identity(g, rng)),
+        "theta_hat(delta_e)": theta_hat(delta_function(g, g.identity)),
+        "composite": Superoperator(g, pinned.values, nonadapted.weights),
+    }
+
+
+@pytest.mark.parametrize("name", ["Z6", "S3", "D4", "Q8", "Z2xZ4", "D6", "S4", "D12", "Z24"])
+def test_stripe_solve_matches_the_dense_oracle(name):
+    g = builtin_group(name)
+    swap = transpose_index(g.order)
+    for label, phi in _oracle_maps(g, np.random.default_rng(60 + g.order)).items():
+        for route, oracle in ((fixed_points, dense_fixed_points),
+                              (pre_annihilator_ideal, dense_pre_annihilator)):
+            got, want = route(phi), oracle(phi)
+            assert got.dim == want.dim, (label, route.__name__)
+            assert projector_distance(got, want) <= 1e-12, (label, route.__name__)
+        # the pre-adjoint is the transpose conjugated by the swap, composites too
+        assert np.array_equal(phi.pre_adjoint().dense(), phi.dense().T[np.ix_(swap, swap)]), label
+
+
+def test_stripe_blocks_do_not_read_the_convolution_matrix(monkeypatch):
+    """fixed_points(theta(mu)) builds its blocks from the group table, so a
+    wrong convolution_matrix moves harmonic_functions and leaves it alone."""
+    g = builtin_group("D4")
+    mu = Measure(g, np.eye(g.order)[[g.identity, 1]].mean(axis=0))  # supp mu generates <1>
+    fixed, functions_before = fixed_points(theta(mu)), harmonic_functions(mu)
+
+    def wrong(measure):
+        return np.eye(measure.group.order)
+
+    monkeypatch.setattr(harmonic, "convolution_matrix", wrong)
+    monkeypatch.setattr(functions, "convolution_matrix", wrong)
+    assert harmonic_functions(mu).dim == g.order != functions_before.dim
+    assert np.array_equal(fixed_points(theta(mu)).basis, fixed.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +540,7 @@ def test_limit_product_requires_probability():
 # ideals
 
 def test_pre_annihilator_of_identity_map():
-    ident = Superoperator(Z4, "schur", mask=np.ones((4, 4)))
+    ident = Superoperator(Z4, np.ones(4), np.eye(4)[Z4.identity])
     assert pre_annihilator_ideal(ident).dim == 0
 
 
@@ -587,8 +656,8 @@ def test_suite_coordinate_spans_match_the_svd_routes(monkeypatch, name):
               _near_one_sigma(g, rng)]
     for k, sigma in enumerate(sigmas):
         report, fixed_mask, ideal_mask = _suite_masks(monkeypatch, sigma)
-        fixed = harmonic._coordinate_span(fixed_mask)
-        ideal = harmonic._coordinate_span(ideal_mask)
+        fixed = coordinate_span(fixed_mask)
+        ideal = coordinate_span(ideal_mask)
         svd_fixed = fixed_points(theta_hat(sigma))
         svd_ideal = pre_annihilator_ideal(theta_hat(sigma))
         assert (fixed.dim, ideal.dim) == (svd_fixed.dim, svd_ideal.dim), (name, k)
@@ -602,9 +671,9 @@ def _dense_suite_residuals(group, ideal_mask, fixed_mask):
     """The suite's mask residuals on dense Subspaces: the pairing of the bases,
     inclusion_residual, bullet_closure_residual and the SVD traceless span."""
     n = group.order
-    ideal = harmonic._coordinate_span(ideal_mask)
-    fixed = harmonic._coordinate_span(fixed_mask)
-    perp = harmonic._coordinate_span(~np.eye(n, dtype=bool))
+    ideal = coordinate_span(ideal_mask)
+    fixed = coordinate_span(fixed_mask)
+    perp = coordinate_span(~np.eye(n, dtype=bool))
     traceless = null_space(np.eye(n).reshape(1, -1))
     pairings = ideal.basis.T @ fixed.basis[transpose_index(n)]
     return {
@@ -627,16 +696,20 @@ def _suite_against_dense(monkeypatch, sigma):
     return report
 
 
-def _off_stripe_action(sigma):
-    """theta_hat(sigma) with the unit (0, 1) also fixed: a mask that is not
-    constant on the stripe of 0 * 1^-1, so the ideal cuts that stripe."""
-    mask = schur_mask(sigma).copy()
-    mask[0, 1] = 1.0
-    return Superoperator(sigma.group, "schur", mask=mask)
+def _off_stripe(schur_masks):
+    """schur_masks with the unit (0, 1) also fixed and (1, 0) out of the
+    ideal: masks that are not constant on the stripes of 0 * 1^-1 and
+    1 * 0^-1, so the ideal cuts a stripe."""
+    def masks(action, tol):
+        ideal, fixed = schur_masks(action, tol)
+        fixed[0, 1], ideal[1, 0] = True, False
+        return ideal, fixed
+    return masks
 
 
 def _untransposed(self):
-    return Superoperator(self.group, "schur", mask=self.mask)
+    """A pre-adjoint that leaves sigma and mu where they are."""
+    return self
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "D6", "S4"])
@@ -653,7 +726,7 @@ def test_suite_residuals_equal_the_dense_oracle(monkeypatch, name):
         == _quotient_residual_by_pairs(g) == 0.0
 
     with monkeypatch.context() as patch:
-        patch.setattr(harmonic, "theta_hat", _off_stripe_action)
+        patch.setattr(harmonic, "_schur_masks", _off_stripe(harmonic._schur_masks))
         broken = _suite_against_dense(monkeypatch, sigmas[0])
     assert (broken.ideal_closure_residual, broken.passed) == (1.0, False)
 

@@ -7,7 +7,7 @@ import pytest
 import harmop
 import harmop.linalg as linalg
 from harmop.groups import all_subgroups, builtin_group, cyclic_group, symmetric_group
-from harmop.actions import left_regular, theta_hat
+from harmop.actions import left_regular, schur_mask
 from harmop.generators import random_positive_definite
 from harmop.harmonic import _subgroup_generators
 from harmop.linalg import (
@@ -830,7 +830,7 @@ def test_qr_sees_float64_for_real_generators_and_complex128_for_a_complex_mask(m
     null_space(_rank_deficient(12, 5, 3, seed=0) + 0j)
     assert dtypes == [np.float64]
     dtypes.clear()
-    mask = theta_hat(random_positive_definite(s3, np.random.default_rng(0))).mask
+    mask = schur_mask(random_positive_definite(s3, np.random.default_rng(0)))
     assert mask.imag.any()
     space = commutant([mask])
     assert dtypes == [np.complex128]

@@ -1,9 +1,9 @@
 """Every harmop name the benchmark's tracer hooks still exists.
 
 perfbench/tracing.py wraps functions and methods by name and reads the
-``_dense`` cache of a Superoperator; a name that disappears from the package
-would silently zero a per-layer metric or fail the traced run with a
-KeyError.  The tracer module is loaded from its file and only read.
+``_dense`` cache and the ``kind`` of a Superoperator; a name that disappears
+from the package would silently zero a per-layer metric or fail the traced
+run with a KeyError or an AttributeError.  The tracer module is loaded from its file and only read.
 """
 
 import importlib.util
@@ -60,5 +60,10 @@ def test_span_metrics_name_existing_functions():
 def test_dense_hook_reads_an_existing_cache():
     group = cyclic_group(3)
     sup = theta_hat(delta_function(group, 0))
-    assert sup._dense is None
+    assert sup._dense is None and sup.kind != "dense"
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    tracing._dense_hook(tracer)((sup,), {})
+    assert tracer.counters["actions.dense_calls"] == 1
+    assert tracer.counters["actions.dense_bytes"] == 16 * 3 ** 4
     assert np.array_equal(sup.dense(), sup._dense)

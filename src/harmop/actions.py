@@ -279,11 +279,13 @@ def bullet_via_comultiplication(group: GroupTable, omega: np.ndarray,
                                 rho_mat: np.ndarray) -> np.ndarray:
     """Definitional oracle for bullet: contract Gamma(E_ab), which has a 1 at
     (P[c n + a], P[c n + b]) for every c with P the W_hat index map, against
-    omega tensor rho, so out[b, a] = sum_c pair[P[c n + b], P[c n + a]]."""
+    omega tensor rho, so out[b, a] = sum_c pair[P[c n + b], P[c n + a]]; each
+    entry of the pair is read off its legs, so the kron is never formed."""
     check_cap(group.order, "doubled-space computation")
-    pair = np.kron(np.asarray(omega, dtype=complex), np.asarray(rho_mat, dtype=complex))
-    perm = _pair_perm_w_hat(group).reshape(group.order, -1)
-    return pair[perm[:, :, None], perm[:, None, :]].sum(axis=0)
+    omega, rho_mat = _operator(group, omega), _operator(group, rho_mat)
+    first, second = np.divmod(_pair_perm_w_hat(group).reshape(group.order, -1), group.order)
+    return (omega[first[:, :, None], first[:, None, :]]
+            * rho_mat[second[:, :, None], second[:, None, :]]).sum(axis=0)
 
 
 def module_action(group: GroupTable, side: str, omega: np.ndarray,
@@ -294,13 +296,18 @@ def module_action(group: GroupTable, side: str, omega: np.ndarray,
     of the lambda(x).
     side="right": T . omega = (omega tensor id)(Gamma(T)); equals
     theta_hat(pi(omega))(T), the identity that pins every convention here.
+    Gamma(T) holds T[c, d] at (P[k n + c], P[k n + d]) for the W_hat index map
+    P; each of those n^3 entries is paired with omega on the traced legs and
+    added at its place on the kept legs.
     """
-    omega = np.asarray(omega, dtype=complex)
-    four = comultiplication(group, t_mat).reshape(
-        group.order, group.order, group.order, group.order
-    )
-    if side == "left":
-        return np.einsum("abcd,db->ac", four, omega)
-    if side == "right":
-        return np.einsum("abcd,ca->bd", four, omega)
-    raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    check_cap(group.order, "doubled-space computation")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    omega, t_mat = _operator(group, omega), _operator(group, t_mat)
+    n = group.order
+    first, second = np.divmod(_pair_perm_w_hat(group).reshape(n, n), n)
+    traced, kept = (second, first) if side == "left" else (first, second)
+    terms = (t_mat * omega[traced[:, None, :], traced[:, :, None]]).reshape(-1)
+    places = (kept[:, :, None] * n + kept[:, None, :]).reshape(-1)
+    return (np.bincount(places, terms.real, n * n)
+            + 1j * np.bincount(places, terms.imag, n * n)).reshape(n, n)

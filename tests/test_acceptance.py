@@ -35,6 +35,7 @@ from harmop.linalg import (
 )
 from harmop.actions import (
     bullet,
+    bullet_via_comultiplication,
     coassociativity_defect,
     left_regular,
     module_action,
@@ -269,6 +270,21 @@ def test_criterion_07_hopf_identities():
     for group in [symmetric_group(4), builtin_group("D12")]:  # the doubled-space cap
         for _ in range(3):
             assert coassociativity_defect(group, random_operator(group, rng)) <= 1e-10, group.name
+    for group in [symmetric_group(4), builtin_group("D12")]:
+        n = group.order
+        for _ in range(3):
+            a, b = random_operator(group, rng), random_operator(group, rng)
+            phi = GroupFunction(group, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+            assert np.abs(
+                module_action(group, "right", a, b) - theta_hat(pi_quotient(group, a)).apply(b)
+            ).max() <= 1e-10, group.name
+            assert np.abs(
+                theta_hat(phi).apply(module_action(group, "left", a, b))
+                - module_action(group, "left", a, theta_hat(phi).apply(b))
+            ).max() <= 1e-10, group.name
+            assert np.abs(
+                bullet(group, a, b) - bullet_via_comultiplication(group, a, b)
+            ).max() <= 1e-10, group.name
     print("\nACCEPTANCE 7 (comultiplication and module identities): PASS")
 
 

@@ -28,6 +28,7 @@ from .linalg import (
     double_commutant,
     inclusion_residual,
     null_space,
+    null_spaces,
     projector_distance,
     psd_factorize,
     range_space,
@@ -69,7 +70,13 @@ from .actions import (
     theta_hat,
     theta_hat_sum_form,
 )
-from .support import SupportSet, annihilator_ideal, operator_support
+from .support import (
+    SupportSet,
+    annihilator_ideal,
+    annihilator_ideals,
+    operator_support,
+    operator_supports,
+)
 from .harmonic import (
     HarmonicReport,
     IdealSuiteReport,
@@ -81,6 +88,7 @@ from .harmonic import (
     invariant_algebra,
     limit_product,
     linfty_perp_suite,
+    pre_annihilator_dim,
     pre_annihilator_ideal,
     verify_main_theorem,
     willis_ideal,

@@ -50,19 +50,33 @@ def _map_scale(sigma, mu: np.ndarray) -> float:
     return max(1.0, float(np.abs(sigma).max() * np.abs(mu).sum()))
 
 
-def _stripe_solve(phi: Superoperator, tol: Tolerances, kernel: bool) -> Subspace:
-    """The null space (kernel) or the range of phi - id: on the stripe S_x it
-    is the block sigma(x) R - I (Superoperator).  One batched SVD of the n
-    blocks cuts at rank_tol * _map_scale, the largest absolute row sum of
-    the dense map, and each kept vector is scattered into its stripe."""
+def _distinct_blocks(phi: Superoperator, tol: Tolerances) -> tuple[np.ndarray, np.ndarray, float]:
+    """The distinct blocks of phi - id, the block of each stripe, and the cut.
+
+    On the stripe S_x phi - id is the block sigma(x) R - I (Superoperator),
+    with one R for every stripe, so only the distinct values of sigma give
+    distinct blocks.  The cut is rank_tol * _map_scale, the largest absolute
+    row sum of the dense map."""
     n = phi.group.order
     check_cap(n, "fixed-point and pre-annihilator bases")
-    u, s, vh = np.linalg.svd(_in_field(phi.sigma[:, None, None] * phi.stripe_block() - np.eye(n)))
-    cut = tol.rank_tol * _map_scale(phi.sigma, phi.mu)
+    # a dict rather than np.unique, which at small orders costs a quarter of
+    # the whole solve when every value of sigma is distinct
+    first = {}
+    which = np.array([first.setdefault(v, len(first)) for v in phi.sigma.tolist()])
+    blocks = _in_field(np.array(list(first))[:, None, None] * phi.stripe_block() - np.eye(n))
+    return blocks, which, tol.rank_tol * _map_scale(phi.sigma, phi.mu)
+
+
+def _stripe_solve(phi: Superoperator, tol: Tolerances, kernel: bool) -> Subspace:
+    """The null space (kernel) or the range of phi - id, from one batched SVD
+    of its distinct blocks; each kept vector is scattered into its stripe."""
+    n = phi.group.order
+    blocks, which, cut = _distinct_blocks(phi, tol)
+    u, s, vh = np.linalg.svd(blocks)
     vectors, keep = (vh.conj().swapaxes(1, 2), s <= cut) if kernel else (u, s > cut)
-    stripe, col = keep.nonzero()
+    stripe, col = keep[which].nonzero()
     basis = np.zeros((n * n, len(stripe)), dtype=complex)
-    basis[stripe_index(phi.group)[stripe].T, np.arange(len(stripe))] = vectors[stripe, :, col].T
+    basis[stripe_index(phi.group)[stripe].T, np.arange(len(stripe))] = vectors[which[stripe], :, col].T
     return Subspace(n * n, basis)
 
 
@@ -253,6 +267,13 @@ def pre_annihilator_ideal(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> 
     """range(pre_adjoint(phi) - id): the trace-class elements annihilating the
     fixed points; dimensions are complementary to fixed_points(phi)."""
     return _stripe_solve(phi.pre_adjoint(), tol, kernel=False)
+
+
+def pre_annihilator_dim(phi: Superoperator, tol: Tolerances = DEFAULT_TOL) -> int:
+    """dim pre_annihilator_ideal(phi): the singular values of the pre-adjoint's
+    blocks above the cut, computed without vectors."""
+    blocks, which, cut = _distinct_blocks(phi.pre_adjoint(), tol)
+    return int(np.count_nonzero(np.linalg.svd(blocks, compute_uv=False)[which] > cut))
 
 
 def bullet_closure_residual(group: GroupTable, ideal: Subspace,

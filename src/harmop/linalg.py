@@ -36,6 +36,8 @@ import numpy as np
 
 # |G|^4 work: commutator stacks, dense superoperators, the doubled space
 SUPEROP_CAP = 24
+# entries of the largest intermediate a stacked computation forms at once
+CHUNK_ENTRIES = 1 << 20
 _GOLDEN, _SILVER = (1 + math.sqrt(5)) / 2, 1 + math.sqrt(2)
 
 
@@ -145,29 +147,54 @@ def _rank(s: np.ndarray, tol: Tolerances, scale: float | None = None) -> int:
     return int(np.sum(s > cutoff))
 
 
+def null_spaces(stack, tol: Tolerances = DEFAULT_TOL,
+                scale: float | None = None) -> list[Subspace]:
+    """null_space of each matrix of a (count, rows, cols) stack, from one
+    stacked decomposition.
+
+    Each matrix's nonzero rows are packed first, in order, and padded with
+    zero rows up to the stack's largest count; neither changes its singular
+    values or right singular vectors.  A packed stack taller than wide is
+    reduced to its R factors, so no U is formed.  Each matrix is cut at
+    rank_tol times its own largest singular value, or times ``scale`` when
+    given.  The caller bounds the stack's size (CHUNK_ENTRIES).
+    """
+    stack = _in_field(stack)
+    if stack.ndim != 3:
+        raise ValueError("null_spaces expects a stack of matrices")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix has non-finite entries")
+    count, rows, cols = stack.shape
+    nonzero = stack.any(axis=2)
+    counts = nonzero.sum(axis=1)
+    width = int(counts.max(initial=0))
+    if width == 0:
+        return [Subspace.full(cols) for _ in range(count)]
+    if width < rows:
+        # stack[nonzero] lists each matrix's nonzero rows in order, matrix by matrix
+        packed = np.zeros((count, width, cols), dtype=stack.dtype)
+        packed[np.arange(width) < counts[:, None]] = stack[nonzero]
+        stack = packed
+    if width > cols:
+        stack = np.linalg.qr(stack, mode="r")
+    _, s, vh = np.linalg.svd(stack, full_matrices=True)
+    cut = tol.rank_tol * (s[:, :1] if scale is None else scale)
+    ranks = (s > cut).sum(axis=1)
+    return [Subspace(cols, v[rank:].conj().T) for v, rank in zip(vh, ranks.tolist())]
+
+
 def null_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
-    """Orthonormal basis of {v : Mv ~ 0}, thresholded at rank_tol * ||M||.
+    """Orthonormal basis of {v : Mv ~ 0}, thresholded at rank_tol * ||M||:
+    null_spaces on a stack of one.
 
     ``scale`` overrides the reference norm; callers whose matrix is a
     difference of same-sized terms (commutators, Phi - id) pass the scale of
-    the terms so that an all-but-zero stack reads as rank zero.  A stack
-    taller than wide is reduced to the R of its QR factorization, which has
-    the same singular values and right singular vectors, so no U is formed.
+    the terms so that an all-but-zero stack reads as rank zero.
     """
-    mat = _in_field(mat)
+    mat = np.asarray(mat)
     if mat.ndim != 2:
         raise ValueError("null_space expects a matrix")
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix has non-finite entries")
-    rows, cols = mat.shape
-    if rows == 0:
-        return Subspace.full(cols)
-    if rows > cols:
-        # rows that are exactly zero change neither the singular values nor vh
-        nonzero = mat.any(axis=1)
-        mat = np.linalg.qr(mat if nonzero.all() else mat[nonzero], mode="r")
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return Subspace(cols, vh[_rank(s, tol, scale):].conj().T)
+    return null_spaces(mat[None], tol, scale)[0]
 
 
 def range_space(mat, tol: Tolerances = DEFAULT_TOL, scale: float | None = None) -> Subspace:
@@ -285,7 +312,7 @@ def commutant(generators, n: int | None = None, tol: Tolerances = DEFAULT_TOL) -
 
     # certification: every basis element commutes with every generator
     resid = 0.0
-    step = max(1, (1 << 20) // max(1, mats.size))  # about 2^20 commutator entries at a time
+    step = max(1, CHUNK_ENTRIES // max(1, mats.size))  # commutator entries at a time
     for start in range(0, len(stack), step):
         block = stack[start:start + step, None]
         resid = max(resid, float(np.linalg.norm(block @ mats - mats @ block, axis=(2, 3))

@@ -561,9 +561,41 @@ def test_non_ideal_annihilator_raises_contract_error(monkeypatch):
     t_mat[0, 1] = 1.0
     # a subspace of functions that is not closed under pointwise products
     skew = Subspace.from_span([np.ones(4)])
-    monkeypatch.setattr(support, "null_space", lambda mat, tol: skew)
+    monkeypatch.setattr(support, "null_spaces", lambda stack, tol: [skew] * len(stack))
     with pytest.raises(LinAlgContractError):
         support.annihilator_ideal(cyclic_group(4), t_mat)
+
+
+def test_empty_iff_zero_fails_when_the_scatter_drops_the_operator_index(monkeypatch, capsys):
+    import harmop.cli as cli
+    from harmop.support import operator_supports
+
+    def one_row(group, operators, tol):
+        """Every mark scattered into the first operator's row."""
+        marks = operator_supports(group, operators, tol)
+        merged = np.zeros_like(marks)
+        merged[0] = marks.any(axis=0)
+        return merged
+
+    monkeypatch.setattr(cli, "operator_supports", one_row)
+    assert main(["support", "--group", "Z4", "--count", "3"]) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    # the zero operator reads a support, and each of the three T none
+    assert checks["support/empty_iff_zero"]["metric"] == 4.0
+    assert not checks["support/empty_iff_zero"]["passed"]
+
+
+def test_duality_dims_fail_on_a_pre_adjoint_that_drops_mu(monkeypatch, capsys):
+    """The pre-annihilator's dimension comes from the pre-adjoint's own
+    blocks, so a pre-adjoint that loses the convolution part fails it."""
+    def without_mu(self):
+        delta_e = np.eye(self.group.order)[self.group.identity]
+        return Superoperator(self.group, self.sigma[self.group.inverse], delta_e)
+
+    monkeypatch.setattr(Superoperator, "pre_adjoint", without_mu)
+    assert main(["fixed-points", "--group", "S3", "--count", "1"]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == ["fixed-points/adapted0/duality_dims"]
 
 
 @pytest.mark.parametrize("command", ["fixed-points", "verify"])

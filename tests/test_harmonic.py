@@ -57,6 +57,7 @@ from harmop.harmonic import (
     invariant_algebra,
     limit_product,
     linfty_perp_suite,
+    pre_annihilator_dim,
     pre_annihilator_ideal,
     verify_main_theorem,
     willis_ideal,
@@ -164,8 +165,30 @@ def test_stripe_solve_matches_the_dense_oracle(name):
             got, want = route(phi), oracle(phi)
             assert got.dim == want.dim, (label, route.__name__)
             assert projector_distance(got, want) <= 1e-12, (label, route.__name__)
+        assert pre_annihilator_dim(phi) == dense_pre_annihilator(phi).dim, label
         # the pre-adjoint is the transpose conjugated by the swap, composites too
         assert np.array_equal(phi.pre_adjoint().dense(), phi.dense().T[np.ix_(swap, swap)]), label
+
+
+def test_one_decomposition_per_distinct_stripe_block(monkeypatch):
+    """Every block is sigma(x) R - I with one R, so theta(mu) has one block
+    to decompose and theta_hat(sigma) one per distinct value of sigma."""
+    g = builtin_group("D4")
+    rng = np.random.default_rng(3)
+    sigma = GroupFunction(g, rng.standard_normal(4)[np.arange(g.order) % 4])
+    counts = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        counts.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for phi in (theta(random_adapted_measure(g, rng)), theta_hat(sigma)):
+        fixed_points(phi)
+        pre_annihilator_ideal(phi)
+        pre_annihilator_dim(phi)
+    assert counts == [1, 1, 1, 4, 4, 4]
 
 
 def test_stripe_blocks_do_not_read_the_convolution_matrix(monkeypatch):

@@ -52,6 +52,10 @@ UNREFERENCED_ALLOWED = {
     "delta_measure": "constructor of test inputs",
     "indicator_function": "constructor of test inputs",
     "theta_hat_sum_form": "the sum form of theta_hat, to become a CLI check",
+    "pre_annihilator_ideal": "the pre-annihilator basis; the CLI reads only its "
+                             "dimension, pre_annihilator_dim, which the tests hold to it",
+    "operator_support": "the one-operator form of operator_supports, which the CLI "
+                        "calls on stacks",
 }
 
 

@@ -20,6 +20,7 @@ from harmop.linalg import (
     double_commutant,
     inclusion_residual,
     null_space,
+    null_spaces,
     projector_distance,
     psd_factorize,
     range_space,
@@ -276,7 +277,36 @@ def test_null_space_of_tall_stack_never_decomposes_a_tall_matrix(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", spy)
     null_space(mat)
-    assert shapes and all(rows <= cols for rows, cols in shapes)
+    # the decomposition is stacked: the last two axes are one matrix's
+    assert shapes and all(rows <= cols for *_, rows, cols in shapes)
+
+
+def _matrix_null_space(mat, tol=DEFAULT_TOL, scale=None):
+    """One matrix's null space from its own SVD, with no packing or QR."""
+    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    cut = tol.rank_tol * (s[0] if scale is None else scale)
+    return Subspace(mat.shape[1], vh[int(np.sum(s > cut)):].conj().T)
+
+
+@pytest.mark.parametrize("scale", [None, 100.0])
+def test_null_spaces_cut_each_matrix_on_its_own(scale):
+    """A stack of matrices with 1e-6 to 1e6 norms, zero rows interleaved and
+    unequal nonzero row counts: each null space matches that matrix's own
+    SVD, so one cut for the whole stack or nonzero padding would show."""
+    rng = np.random.default_rng(8)
+    stack = np.zeros((5, 30, 6), dtype=complex)
+    for k, (rows, rank, norm) in enumerate([(20, 4, 1e6), (9, 3, 1e-6), (3, 3, 1.0),
+                                             (0, 0, 1.0), (14, 5, 1.0)]):
+        low = rng.standard_normal((rows, rank)) @ rng.standard_normal((rank, 6))
+        stack[k, rng.choice(30, rows, replace=False)] = norm * low
+    spaces = null_spaces(stack, scale=scale)
+    for mat, space in zip(stack, spaces):
+        reference = _matrix_null_space(mat, scale=scale)
+        assert space.dim == reference.dim
+        assert projector_distance(space, reference) <= 1e-12
+    if scale is None:
+        assert [space.dim for space in spaces] == [2, 3, 3, 6, 1]
+    assert null_space(stack[1]).dim == spaces[1].dim
 
 
 def test_null_space_drops_zero_rows_only():

@@ -1,13 +1,34 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import harmop.support as support
-from harmop.groups import cyclic_group, dihedral_group, generated_subgroup, symmetric_group
+from harmop.groups import (
+    builtin_group,
+    cyclic_group,
+    dihedral_group,
+    generated_subgroup,
+    symmetric_group,
+)
 from harmop.functions import GroupFunction, indicator_function, uniform_measure
-from harmop.linalg import DEFAULT_TOL, LinAlgContractError, Subspace
+from harmop.generators import random_sparse_operator
+from harmop.linalg import (
+    CHUNK_ENTRIES,
+    DEFAULT_TOL,
+    LinAlgContractError,
+    Subspace,
+    null_space,
+    projector_distance,
+)
 from harmop.actions import displacement_table, left_regular, mult_op, theta_hat
 from harmop.harmonic import limit_product
-from harmop.support import annihilator_ideal, operator_support
+from harmop.support import (
+    annihilator_ideal,
+    annihilator_ideals,
+    operator_support,
+    operator_supports,
+)
 
 from spans import in_span, projector
 
@@ -161,7 +182,7 @@ def _is_ideal_by_loop(space):
 ])
 def test_ideal_check_matches_point_mass_loop(monkeypatch, span):
     space = Subspace.from_span(span) if span else Subspace.zero(4)
-    monkeypatch.setattr(support, "null_space", lambda mat, tol: space)
+    monkeypatch.setattr(support, "null_spaces", lambda stack, tol: [space] * len(stack))
     t_mat = np.zeros((4, 4))
     if _is_ideal_by_loop(space):
         assert annihilator_ideal(Z4, t_mat)[0] is space
@@ -178,3 +199,83 @@ def test_ideal_check_matches_point_mass_loop(monkeypatch, span):
 def test_operator_of_the_wrong_shape_is_a_value_error(call):
     with pytest.raises(ValueError, match="group order 4"):
         call(cyclic_group(4), np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# the stacked cores against the per-operator route they replaced
+
+ORACLE_GROUPS = ["Z2", "Z3", "Z4", "Z5", "Z6", "S3", "D4", "Q8", "Z2xZ4", "D6", "Z12",
+                 "S4", "D12", "D30"]
+
+
+def _support_oracle(group, t_mat):
+    return tuple(int(x) for x in np.unique(displacement_table(group)[np.abs(t_mat) >
+                                                                     DEFAULT_TOL.entry_tol]))
+
+
+def _annihilator_oracle(group, t_mat):
+    """null_space of the full n^2 x n map phi -> mask(phi) * T of one
+    operator, its leak check through Subspace.residuals, and the hull off
+    the zero rows of the basis."""
+    n = group.order
+    columns = np.zeros((n * n, n), dtype=complex)
+    columns[np.arange(n * n), displacement_table(group).ravel()] = t_mat.ravel()
+    ideal = null_space(columns)
+    leak = ideal.residuals(np.eye(n))
+    assert not np.any(np.abs(ideal.basis) * leak[:, None] > DEFAULT_TOL.eq_tol)
+    rows = np.linalg.norm(ideal.basis, axis=1)
+    return ideal, tuple(int(x) for x in np.flatnonzero(rows <= DEFAULT_TOL.rank_tol))
+
+
+def _mixed_stack(group, rng):
+    """The zero operator, a full-support one, sparse ones of norm 1e6 and
+    1e-6 next to each other (in one chunk up to D30), a sparser one and a
+    single entry: nonzero counts differ, so every stack pads."""
+    n = group.order
+    single = np.zeros((n, n))
+    single[n - 1, 0] = 3.0
+    return np.array([np.zeros((n, n)), _rand(group, rng), 1e6 * _rand(group, rng, 0.3),
+                     1e-6 * _rand(group, rng, 0.5), _rand(group, rng, 0.1), single])
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_stacked_cores_match_the_per_operator_route(name):
+    group = builtin_group(name)
+    stack = _mixed_stack(group, np.random.default_rng(group.order))
+    marks = operator_supports(group, stack)
+    pairs = annihilator_ideals(group, stack)
+    assert len(marks) == len(pairs) == len(stack)
+    for t_mat, row, (ideal, hull) in zip(stack, marks, pairs):
+        expected_ideal, expected_hull = _annihilator_oracle(group, t_mat)
+        assert tuple(np.flatnonzero(row).tolist()) == _support_oracle(group, t_mat)
+        assert hull.members == expected_hull == _support_oracle(group, t_mat)
+        assert ideal.dim == expected_ideal.dim == group.order - len(hull)
+        assert projector_distance(ideal, expected_ideal) <= 1e-12
+        assert annihilator_ideal(group, t_mat)[1] == hull
+        assert operator_support(group, t_mat).members == hull.members
+
+
+def test_support_marks_take_any_iterable_of_operators():
+    stack = _mixed_stack(D4, np.random.default_rng(7))
+    marks = operator_supports(D4, stack)
+    assert np.array_equal(operator_supports(D4, iter(list(stack))), marks)
+    assert operator_supports(D4, []).shape == (0, 8)
+    with pytest.raises(ValueError, match="group order 8"):
+        operator_supports(D4, [np.eye(4)])
+
+
+def test_stacked_hull_core_stays_within_the_chunk_budget():
+    """20 operators of density 0.3 on Z120 would make a 170 MB stack of maps
+    at once; in chunks the peak is at most one chunk of CHUNK_ENTRIES
+    complex entries and numpy's QR copy of it."""
+    z120 = builtin_group("Z120")
+    rng = np.random.default_rng(9)
+    stack = np.array([random_sparse_operator(z120, rng) for _ in range(20)])
+    tracemalloc.start()
+    try:
+        pairs = annihilator_ideals(z120, stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [hull.members for _, hull in pairs] == [_support_oracle(z120, t) for t in stack]
+    assert peak <= 2 * 16 * CHUNK_ENTRIES, peak
